@@ -28,12 +28,18 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand, init func(id int) []float64) *
 	return &Embedding{Table: t}
 }
 
-// Lookup returns the embedding of a vocabulary id.
-func (e *Embedding) Lookup(id int) *Vec {
+// Lookup returns the embedding of a vocabulary id; out-of-range ids
+// fall back to row 0.
+func (e *Embedding) Lookup(id int) *Vec { return e.Table.Row(e.row(id)) }
+
+// LookupOn is Lookup with the node header taken from tape t.
+func (e *Embedding) LookupOn(t *Tape, id int) *Vec { return t.Row(e.Table, e.row(id)) }
+
+func (e *Embedding) row(id int) int {
 	if id < 0 || id >= e.Table.Rows {
-		id = 0
+		return 0
 	}
-	return e.Table.Row(id)
+	return id
 }
 
 // Params returns the trainable table.
@@ -77,24 +83,120 @@ func NewLSTM(inDim, hidDim int, rng *rand.Rand) *LSTM {
 }
 
 // Step computes one timestep, returning the new hidden and cell states.
+// It is one fused op: the forward pass evaluates all four gates in a
+// single sweep over the weight rows, and one op record replays the
+// backward pass of the equivalent sequence of elementary tape ops —
+// the gate's two MatVecs, two Adds and Sigmoid (Tanh for the
+// candidate), then c = f∘c_{t-1} + i∘ĉ and h = o∘tanh(c) — with the
+// same per-element accumulation order, so gradients are bit-identical
+// to that sequence.
 func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
-	gate := func(W, U, B *Mat) *Vec {
-		return t.Sigmoid(t.Add(t.Add(t.MatVec(W, x), t.MatVec(U, hPrev)), B.AsVec()))
+	H := l.HidDim
+	if x.Len() != l.InDim || hPrev.Len() != H || cPrev.Len() != H {
+		panic("neural: LSTM step dimension mismatch")
 	}
-	i := gate(l.Wi, l.Ui, l.Bi)
-	f := gate(l.Wf, l.Uf, l.Bf)
-	o := gate(l.Wo, l.Uo, l.Bo)
-	cand := t.Tanh(t.Add(t.Add(t.MatVec(l.Wc, x), t.MatVec(l.Uc, hPrev)), l.Bc.AsVec()))
-	c = t.Add(t.Mul(f, cPrev), t.Mul(i, cand))
-	h = t.Mul(o, t.Tanh(c))
+	h, c = t.node(H), t.node(H)
+	// acts holds i, f, o, ĉ and tanh(c), H values each.
+	acts := t.vals.take(5 * H)
+	ai, af, ao := acts[:H:H], acts[H:2*H:2*H], acts[2*H:3*H:3*H]
+	ac, atc := acts[3*H:4*H:4*H], acts[4*H:5*H:5*H]
+	hv, cv := h.V[:H], c.V[:H]
+	cp := cPrev.V[:H]
+	l.gates(x.V, hPrev.V, ai, af, ao, ac)
+	for k := range ai {
+		// float64 conversions keep the elementary ops' rounding: the
+		// products were separate Mul nodes, so they must not fuse into
+		// the sum.
+		cv[k] = float64(af[k]*cp[k]) + float64(ai[k]*ac[k])
+		atc[k] = math.Tanh(cv[k])
+		hv[k] = ao[k] * atc[k]
+	}
+	if !t.infer {
+		vs := t.ptrs.take(2)
+		vs[0], vs[1] = cPrev, c
+		t.record(op{kind: opLSTMStep, lstm: l, a: x, b: hPrev, vs: vs, out: h, acts: acts})
+	}
 	return h, c
+}
+
+// gates writes the four gate activations for input x and previous
+// hidden state hp: σ(W x + U h + b) for i, f, o and tanh of the same
+// for the candidate ĉ. Each pre-activation is (Wx + Uh) + b, every dot
+// product summed left to right — the rounding of MatVec, Add, Add.
+func (l *LSTM) gates(x, hp, ai, af, ao, ac []float64) {
+	in, H := l.InDim, l.HidDim
+	x, hp = x[:in], hp[:H]
+	bi, bf, bo, bc := l.Bi.W[:H], l.Bf.W[:H], l.Bo.W[:H], l.Bc.W[:H]
+	for r := range ai[:H] {
+		wx, ux := r*in, r*H
+		si, sf, so, sc := dot4(l.Wi.W[wx:wx+in], l.Wf.W[wx:wx+in], l.Wo.W[wx:wx+in], l.Wc.W[wx:wx+in], x)
+		ui, uf, uo, uc := dot4(l.Ui.W[ux:ux+H], l.Uf.W[ux:ux+H], l.Uo.W[ux:ux+H], l.Uc.W[ux:ux+H], hp)
+		ai[r] = 1 / (1 + math.Exp(-((si + ui) + bi[r])))
+		af[r] = 1 / (1 + math.Exp(-((sf + uf) + bf[r])))
+		ao[r] = 1 / (1 + math.Exp(-((so + uo) + bo[r])))
+		ac[r] = math.Tanh((sc + uc) + bc[r])
+	}
+}
+
+// stepBackward is the backward pass of one fused Step. It reproduces,
+// in order, the backward rules of the elementary ops Step replaced:
+// h = o∘tanh(c), c = f∘c_{t-1} + i∘ĉ, the candidate and gate
+// nonlinearities with their bias Adds, then each gate's U and W MatVec
+// backward in the order c, o, f, i. Each intermediate gradient is the
+// single product that op accumulated into a zeroed buffer, rounded at
+// the same point (float64 conversions block FMA fusion across what
+// were separate statements).
+func (l *LSTM) stepBackward(t *Tape, o *op) {
+	H := l.HidDim
+	x, hPrev, cPrev, c, h := o.a, o.b, o.vs[0], o.vs[1], o.out
+	acts := o.acts
+	ai, af, ao := acts[:H:H], acts[H:2*H:2*H], acts[2*H:3*H:3*H]
+	ac, atc := acts[3*H:4*H:4*H], acts[4*H:5*H:5*H]
+	if cap(t.scratch) < 4*H {
+		t.scratch = make([]float64, 4*H)
+	}
+	g := t.scratch[:4*H]
+	gi, gf, gO, gc := g[:H:H], g[H:2*H:2*H], g[2*H:3*H:3*H], g[3*H:4*H:4*H]
+	dh, dc := h.G[:H], c.G[:H]
+	cp, dcp := cPrev.V[:H], cPrev.G[:H]
+	bi, bf, bo, bc := l.Bi.G[:H], l.Bf.G[:H], l.Bo.G[:H], l.Bc.G[:H]
+	for k := range gi {
+		// h = o ∘ tanh(c)
+		dO := float64(dh[k] * atc[k])
+		dtc := float64(dh[k] * ao[k])
+		// tanh(c), accumulated onto the next step's contribution
+		dc[k] += dtc * (1 - atc[k]*atc[k])
+		// c = f∘c_{t-1} + i∘ĉ: both products see dc
+		dcv := dc[k]
+		dI := float64(dcv * ac[k])
+		dC := float64(dcv * ai[k])
+		dF := float64(dcv * cp[k])
+		dcp[k] += dcv * af[k]
+		// nonlinearities, then the bias Add
+		gc[k] = float64(dC * (1 - ac[k]*ac[k]))
+		bc[k] += gc[k]
+		gO[k] = float64(dO * ao[k] * (1 - ao[k]))
+		bo[k] += gO[k]
+		gf[k] = float64(dF * af[k] * (1 - af[k]))
+		bf[k] += gf[k]
+		gi[k] = float64(dI * ai[k] * (1 - ai[k]))
+		bi[k] += gi[k]
+	}
+	matVecBackward(l.Uc, gc, hPrev.V, hPrev.G)
+	matVecBackward(l.Wc, gc, x.V, x.G)
+	matVecBackward(l.Uo, gO, hPrev.V, hPrev.G)
+	matVecBackward(l.Wo, gO, x.V, x.G)
+	matVecBackward(l.Uf, gf, hPrev.V, hPrev.G)
+	matVecBackward(l.Wf, gf, x.V, x.G)
+	matVecBackward(l.Ui, gi, hPrev.V, hPrev.G)
+	matVecBackward(l.Wi, gi, x.V, x.G)
 }
 
 // Run processes a sequence left to right from zero initial state,
 // returning the hidden state at every timestep.
 func (l *LSTM) Run(t *Tape, xs []*Vec) []*Vec {
-	h, c := NewVec(l.HidDim), NewVec(l.HidDim)
-	out := make([]*Vec, len(xs))
+	h, c := t.Zeros(l.HidDim), t.Zeros(l.HidDim)
+	out := t.Vecs(len(xs))
 	for i, x := range xs {
 		h, c = l.Step(t, x, h, c)
 		out[i] = h
@@ -133,12 +235,12 @@ func NewBiLSTM(inDim, hidDim int, rng *rand.Rand) *BiLSTM {
 // timestep (dimension 2*HidDim).
 func (b *BiLSTM) Run(t *Tape, xs []*Vec) []*Vec {
 	fwd := b.Fwd.Run(t, xs)
-	rev := make([]*Vec, len(xs))
+	rev := t.Vecs(len(xs))
 	for i := range xs {
 		rev[i] = xs[len(xs)-1-i]
 	}
 	bwdRev := b.Bwd.Run(t, rev)
-	out := make([]*Vec, len(xs))
+	out := t.Vecs(len(xs))
 	for i := range xs {
 		out[i] = t.Concat(fwd[i], bwdRev[len(xs)-1-i])
 	}
@@ -180,11 +282,12 @@ func NewAttention(hidDim, attDim int, rng *rand.Rand) *Attention {
 // learned word importances. It also returns the attention weights for
 // inspection.
 func (a *Attention) Apply(t *Tape, hs []*Vec) (*Vec, *Vec) {
-	us := make([]*Vec, len(hs))
-	scores := make([]*Vec, len(hs))
+	us := t.Vecs(len(hs))
+	scores := t.Vecs(len(hs))
+	bw, uw := t.Param(a.Bw), t.Param(a.Uw)
 	for k, h := range hs {
-		us[k] = t.Tanh(t.Add(t.MatVec(a.Ww, h), a.Bw.AsVec()))
-		scores[k] = t.Dot(us[k], a.Uw.AsVec())
+		us[k] = t.Tanh(t.Add(t.MatVec(a.Ww, h), bw))
+		scores[k] = t.Dot(us[k], uw)
 	}
 	alpha := t.Softmax(t.Concat(scores...))
 	return t.WeightedSum(alpha, us), alpha
@@ -215,7 +318,7 @@ func NewLinear(inDim, outDim int, rng *rand.Rand) *Linear {
 
 // Apply computes Wx + b.
 func (l *Linear) Apply(t *Tape, x *Vec) *Vec {
-	return t.Add(t.MatVec(l.W, x), l.B.AsVec())
+	return t.Add(t.MatVec(l.W, x), t.Param(l.B))
 }
 
 // Params returns the layer's parameters.
@@ -233,8 +336,8 @@ func MaxPool(t *Tape, hs []*Vec) *Vec {
 		panic("neural: MaxPool of empty sequence")
 	}
 	n := hs[0].Len()
-	out := NewVec(n)
-	argmax := make([]int, n)
+	out := t.node(n)
+	argmax := t.ints.take(n)
 	for i := 0; i < n; i++ {
 		best := hs[0].V[i]
 		bestK := 0
@@ -247,11 +350,9 @@ func MaxPool(t *Tape, hs []*Vec) *Vec {
 		out.V[i] = best
 		argmax[i] = bestK
 	}
-	t.backward = append(t.backward, func() {
-		for i := 0; i < n; i++ {
-			hs[argmax[i]].G[i] += out.G[i]
-		}
-	})
+	if !t.infer {
+		t.record(op{kind: opMaxPool, vs: t.vecs(hs), idx: argmax, out: out})
+	}
 	return out
 }
 
@@ -270,13 +371,9 @@ func NoiseAwareCE(t *Tape, logits *Vec, p float64) (float64, *Vec) {
 	q := t.Softmax(logits)
 	const eps = 1e-12
 	loss := -(p*math.Log(q.V[1]+eps) + (1-p)*math.Log(q.V[0]+eps))
-	out := NewVec(1)
+	out := t.node(1)
 	out.V[0] = loss
-	t.backward = append(t.backward, func() {
-		g := out.G[0]
-		q.G[1] += g * (-p / (q.V[1] + eps))
-		q.G[0] += g * (-(1 - p) / (q.V[0] + eps))
-	})
+	t.record(op{kind: opNoiseAwareCE, a: q, s: p, out: out})
 	return loss, out
 }
 

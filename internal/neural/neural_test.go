@@ -3,6 +3,7 @@ package neural
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -177,12 +178,17 @@ func TestOpsForward(t *testing.T) {
 func TestDimensionPanics(t *testing.T) {
 	tape := NewTape()
 	a, b := NewVec(2), NewVec(3)
+	lstm := NewLSTM(1, 2, rand.New(rand.NewSource(1)))
 	for name, fn := range map[string]func(){
 		"Add":    func() { tape.Add(a, b) },
 		"Mul":    func() { tape.Mul(a, b) },
 		"Dot":    func() { tape.Dot(a, b) },
 		"MatVec": func() { tape.MatVec(NewMat(2, 2), b) },
 		"WSum":   func() { tape.WeightedSum(a, []*Vec{NewVec(1)}) },
+		"WSum0":  func() { tape.WeightedSum(NewVec(0), nil) },
+		"LSTMx":  func() { lstm.Step(tape, NewVec(3), NewVec(2), NewVec(2)) },
+		"LSTMh":  func() { lstm.Step(tape, NewVec(1), NewVec(3), NewVec(2)) },
+		"LSTMc":  func() { lstm.Step(tape, NewVec(1), NewVec(2), NewVec(1)) },
 		"Sum":    func() { tape.Sum() },
 		"CE":     func() { NoiseAwareCE(tape, NewVec(3), 0.5) },
 		"Pool":   func() { MaxPool(tape, nil) },
@@ -190,8 +196,11 @@ func TestDimensionPanics(t *testing.T) {
 	} {
 		func() {
 			defer func() {
-				if recover() == nil {
+				r := recover()
+				if r == nil {
 					t.Errorf("%s must panic on dimension mismatch", name)
+				} else if msg, _ := r.(string); !strings.HasPrefix(msg, "neural: ") {
+					t.Errorf("%s panicked with %v, want a neural: message", name, r)
 				}
 			}()
 			fn()
@@ -439,5 +448,97 @@ func TestTapeResetReuse(t *testing.T) {
 		if lin.W.G[i] != want[i] {
 			t.Fatalf("reused tape grad[%d]: %v want %v", i, lin.W.G[i], want[i])
 		}
+	}
+}
+
+// bilstmAttentionGrads runs the model package's text encoder — a
+// Bi-LSTM over embedding rows, attention, a linear head and the
+// noise-aware loss — for one token sequence on tape t, and returns a
+// copy of every parameter gradient.
+func bilstmAttentionGrads(t *Tape, emb *Embedding, bi *BiLSTM, att *Attention, head *Linear, ids []int) [][]float64 {
+	params := append(append(append(emb.Params(), bi.Params()...), att.Params()...), head.Params()...)
+	params.ZeroGrad()
+	xs := t.Vecs(len(ids))
+	for i, id := range ids {
+		xs[i] = emb.LookupOn(t, id)
+	}
+	agg, _ := att.Apply(t, bi.Run(t, xs))
+	_, node := NoiseAwareCE(t, head.Apply(t, agg), 0.3)
+	t.Backward(node)
+	out := make([][]float64, len(params))
+	for i, p := range params {
+		out[i] = append([]float64(nil), p.G...)
+	}
+	return out
+}
+
+// TestTapeResetVaryingLengths reuses one tape over sequences that grow
+// and shrink: after every Reset the gradients must equal, bit for bit,
+// those computed on a fresh tape, so no recycled value or gradient
+// buffer leaks into the next graph.
+func TestTapeResetVaryingLengths(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	emb := NewEmbedding(6, 3, rng, nil)
+	bi := NewBiLSTM(3, 4, rng)
+	att := NewAttention(bi.OutDim(), 3, rng)
+	head := NewLinear(att.OutDim(), 2, rng)
+	seqs := [][]int{{1, 2, 3, 4, 5}, {2}, {0, 5, 5, 1, 2, 3, 4, 0, 1}, {3, 3}, {4, 1, 0, 2, 5, 3, 1}}
+	reused := NewTape()
+	for round := 0; round < 2; round++ {
+		for k, ids := range seqs {
+			want := bilstmAttentionGrads(NewTape(), emb, bi, att, head, ids)
+			reused.Reset()
+			got := bilstmAttentionGrads(reused, emb, bi, att, head, ids)
+			for p := range want {
+				for i := range want[p] {
+					if math.Float64bits(got[p][i]) != math.Float64bits(want[p][i]) {
+						t.Fatalf("round %d seq %d: param %d[%d]: reused %v, fresh %v", round, k, p, i, got[p][i], want[p][i])
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestInferenceTapeMatchesTrainingForward checks that a forward-only
+// tape computes the same values as a recording one and refuses
+// Backward.
+func TestInferenceTapeMatchesTrainingForward(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	bi := NewBiLSTM(2, 3, rng)
+	att := NewAttention(bi.OutDim(), 2, rng)
+	xs := []*Vec{FromSlice([]float64{0.2, -0.7}), FromSlice([]float64{1.3, 0.1}), FromSlice([]float64{-0.4, 0.9})}
+	want, _ := att.Apply(NewTape(), bi.Run(NewTape(), xs))
+	inf := NewInferenceTape()
+	got, _ := att.Apply(inf, bi.Run(inf, xs))
+	for i := range want.V {
+		if got.V[i] != want.V[i] {
+			t.Fatalf("value %d: inference %v, training %v", i, got.V[i], want.V[i])
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Backward on an inference tape must panic")
+		}
+	}()
+	inf.Backward(got)
+}
+
+// BenchmarkLSTMStep times one fused LSTM step, forward and backward, at
+// the model's default 16×16 dimensions on a reused tape.
+func BenchmarkLSTMStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(14))
+	l := NewLSTM(16, 16, rng)
+	x, h0, c0 := NewVec(16), NewVec(16), NewVec(16)
+	for i := range x.V {
+		x.V[i], h0.V[i], c0.V[i] = rng.Float64()-0.5, rng.Float64()-0.5, rng.Float64()-0.5
+	}
+	tape := NewTape()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tape.Reset()
+		h, _ := l.Step(tape, x, h0, c0)
+		tape.Backward(h)
 	}
 }

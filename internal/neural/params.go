@@ -161,40 +161,65 @@ type Adam struct {
 	WeightDecay           float64
 
 	t int
-	m map[*Mat][]float64
-	v map[*Mat][]float64
+	// moments holds each parameter's first and second moment in the
+	// order Step first saw the parameters; index finds a parameter's
+	// slot when a later list orders them differently.
+	moments []adamMoments
+	index   map[*Mat]int
+}
+
+type adamMoments struct {
+	p    *Mat
+	m, v []float64
 }
 
 // NewAdam returns Adam with the conventional defaults and the given
 // learning rate.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: map[*Mat][]float64{}, v: map[*Mat][]float64{}}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, index: map[*Mat]int{}}
 }
 
-// Step implements Optimizer.
+// state returns the moments of p, the k-th entry of the list being
+// stepped, creating zeroed ones on first sight. A list in first-seen
+// order (the usual case) needs no map lookup.
+func (o *Adam) state(k int, p *Mat) *adamMoments {
+	if k < len(o.moments) && o.moments[k].p == p {
+		return &o.moments[k]
+	}
+	if o.index == nil {
+		o.index = map[*Mat]int{}
+	}
+	j, ok := o.index[p]
+	if !ok {
+		j = len(o.moments)
+		o.index[p] = j
+		o.moments = append(o.moments, adamMoments{p: p, m: make([]float64, len(p.W)), v: make([]float64, len(p.W))})
+	}
+	return &o.moments[j]
+}
+
+// Step implements Optimizer. Every element goes through the textbook
+// update with the same operations in the same order; only loop
+// invariants are hoisted.
 func (o *Adam) Step(ps Params) {
 	o.t++
 	b1t := 1 - math.Pow(o.Beta1, float64(o.t))
 	b2t := 1 - math.Pow(o.Beta2, float64(o.t))
-	for _, p := range ps {
-		m, ok := o.m[p]
-		if !ok {
-			m = make([]float64, len(p.W))
-			o.m[p] = m
-		}
-		v, ok := o.v[p]
-		if !ok {
-			v = make([]float64, len(p.W))
-			o.v[p] = v
-		}
-		for i := range p.W {
-			g := p.G[i] + o.WeightDecay*p.W[i]
-			m[i] = o.Beta1*m[i] + (1-o.Beta1)*g
-			v[i] = o.Beta2*v[i] + (1-o.Beta2)*g*g
+	lr, eps, wd := o.LR, o.Eps, o.WeightDecay
+	beta1, beta2 := o.Beta1, o.Beta2
+	c1, c2 := 1-beta1, 1-beta2
+	for k, p := range ps {
+		st := o.state(k, p)
+		w := p.W
+		n := len(w)
+		g, m, v := p.G[:n], st.m[:n], st.v[:n]
+		for i, wi := range w {
+			gi := g[i] + wd*wi
+			m[i] = beta1*m[i] + c1*gi
+			v[i] = beta2*v[i] + c2*gi*gi
 			mh := m[i] / b1t
 			vh := v[i] / b2t
-			p.W[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
+			w[i] = wi - lr*mh/(math.Sqrt(vh)+eps)
 		}
 	}
 }
