@@ -237,14 +237,13 @@ func trainStage(task Task, opts Options, numFeatures int, trainEx []model.Exampl
 func classifyStage(m *model.Model, testEx []model.Example, threshold float64) []GoldTuple {
 	var predicted []GoldTuple
 	seen := map[string]bool{}
-	for _, ex := range testEx {
-		if !m.Classify(ex, threshold) {
-			continue
-		}
-		t := TupleFromCandidate(ex.Cand)
-		if !seen[t.Key()] {
-			seen[t.Key()] = true
-			predicted = append(predicted, t)
+	for i, p := range m.PredictProbs(testEx) {
+		if p > threshold {
+			t := TupleFromCandidate(testEx[i].Cand)
+			if !seen[t.Key()] {
+				seen[t.Key()] = true
+				predicted = append(predicted, t)
+			}
 		}
 	}
 	return predicted

@@ -358,9 +358,8 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 	cands := ext.Extract(doc)
 	newFx := extractorFactory(v.opts)
 	fx := newFx()
-	var out DocClassification
-	seen := map[string]bool{}
-	for _, c := range cands {
+	exs := make([]model.Example, len(cands))
+	for i, c := range cands {
 		var cols []int
 		for _, n := range distinctFeatures(fx, c) {
 			if id, ok := v.runIndex.Lookup(n); ok {
@@ -368,7 +367,13 @@ func (v *StoreView) ClassifyDocument(doc *datamodel.Document) (DocClassification
 			}
 		}
 		sort.Ints(cols)
-		p := v.model.PredictProb(model.Example{Cand: c, SparseFeats: cols})
+		exs[i] = model.Example{Cand: c, SparseFeats: cols}
+	}
+	probs := v.model.PredictProbs(exs)
+	var out DocClassification
+	seen := map[string]bool{}
+	for i, c := range cands {
+		p := probs[i]
 		cc := ClassifiedCandidate{Values: c.Values(), Marginal: p, Positive: p > v.opts.Threshold}
 		out.Candidates = append(out.Candidates, cc)
 		if cc.Positive {

@@ -49,6 +49,7 @@ func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, nam
 	for _, t := range predicted {
 		seen[t.Key()] = true
 	}
+	exs := make([]model.Example, 0, max(len(cands)-from, 0))
 	for i := from; i < len(cands); i++ {
 		var cols []int
 		for _, n := range names[i] {
@@ -57,7 +58,11 @@ func deltaClassify(prevPredicted []GoldTuple, cands []*candidates.Candidate, nam
 			}
 		}
 		sort.Ints(cols)
-		p := m.PredictProb(model.Example{Cand: cands[i], SparseFeats: cols})
+		exs = append(exs, model.Example{Cand: cands[i], SparseFeats: cols})
+	}
+	probs := m.PredictProbs(exs)
+	for k, p := range probs {
+		i := from + k
 		if p > threshold {
 			t := TupleFromCandidate(cands[i])
 			if !seen[t.Key()] {

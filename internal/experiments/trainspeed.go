@@ -100,8 +100,9 @@ func TrainSpeedStudy(cfg Config) TrainSpeedResult {
 	parModel, parSecs := run(workers)
 
 	identical := true
-	for _, ex := range exs {
-		if seqModel.PredictProb(ex) != parModel.PredictProb(ex) {
+	parProbs := parModel.PredictProbs(exs)
+	for i, p := range seqModel.PredictProbs(exs) {
+		if p != parProbs[i] {
 			identical = false
 			break
 		}

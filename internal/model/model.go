@@ -238,41 +238,73 @@ func docTokens(c *candidates.Candidate, maxTokens int) []string {
 	return out
 }
 
-// forward builds the candidate's logits on a fresh tape.
+// seqs returns the token-id sequences the text encoder reads for a
+// candidate: one per mention, or the single document sequence of the
+// document-level model; nil for sparse-only models. Empty sequences
+// become the single token "<pad>".
+func (m *Model) seqs(ex Example) [][]int {
+	var toks [][]string
+	switch {
+	case m.cfg.DocLevel:
+		toks = [][]string{docTokens(ex.Cand, m.cfg.MaxDocTokens)}
+	case m.cfg.UseText:
+		toks = make([][]string, len(ex.Cand.Mentions))
+		for i := range toks {
+			toks[i] = mentionTokens(ex.Cand, i, m.cfg.MaxSentTokens)
+		}
+	}
+	out := make([][]int, len(toks))
+	for i, ts := range toks {
+		if len(ts) == 0 {
+			ts = []string{"<pad>"}
+		}
+		ids := make([]int, len(ts))
+		for k, tok := range ts {
+			ids[k] = m.vocab.ID(tok)
+		}
+		out[i] = ids
+	}
+	return out
+}
+
+// forward builds the candidate's logits on tape t.
 func (m *Model) forward(t *neural.Tape, ex Example) *neural.Vec {
-	logits := m.bias.AsVec()
+	return m.forwardSeqs(t, m.seqs(ex), ex.SparseFeats)
+}
+
+// forwardSeqs builds the logits from a candidate's token-id sequences
+// (see seqs) and its sparse feature columns.
+func (m *Model) forwardSeqs(t *neural.Tape, seqs [][]int, feats []int) *neural.Vec {
+	logits := t.Param(m.bias)
 	if m.cfg.DocLevel {
-		seq := m.encodeSeq(t, docTokens(ex.Cand, m.cfg.MaxDocTokens))
+		seq := m.encodeSeq(t, seqs[0])
 		logits = t.Add(logits, m.headText.Apply(t, seq))
 	} else if m.cfg.UseText {
-		reps := make([]*neural.Vec, len(ex.Cand.Mentions))
-		for i := range ex.Cand.Mentions {
-			reps[i] = m.encodeSeq(t, mentionTokens(ex.Cand, i, m.cfg.MaxSentTokens))
+		reps := t.Vecs(len(seqs))
+		for i, ids := range seqs {
+			reps[i] = m.encodeSeq(t, ids)
 		}
 		logits = t.Add(logits, m.headText.Apply(t, t.Concat(reps...)))
 	}
 	if m.cfg.UseSparse {
-		logits = t.Add(logits, t.SparseLinear(m.headSparse, ex.SparseFeats))
+		logits = t.Add(logits, t.SparseLinear(m.headSparse, feats))
 	}
 	return logits
 }
 
-// encodeSeq embeds a token sequence, runs the Bi-LSTM, and aggregates
-// with attention (or max pooling in the ablation variant).
-func (m *Model) encodeSeq(t *neural.Tape, toks []string) *neural.Vec {
-	if len(toks) == 0 {
-		toks = []string{"<pad>"}
-	}
-	xs := make([]*neural.Vec, len(toks))
-	for i, tok := range toks {
-		xs[i] = m.emb.Lookup(m.vocab.ID(tok))
+// encodeSeq embeds a token-id sequence, runs the Bi-LSTM, and
+// aggregates with attention (or max pooling in the ablation variant).
+func (m *Model) encodeSeq(t *neural.Tape, ids []int) *neural.Vec {
+	xs := t.Vecs(len(ids))
+	for i, id := range ids {
+		xs[i] = m.emb.LookupOn(t, id)
 	}
 	hs := m.bi.Run(t, xs)
 	if m.cfg.UseMaxPool {
 		// Project pooled hidden state into the attention dimension so
 		// head shapes stay identical across the ablation.
 		pooled := neural.MaxPool(t, hs)
-		return t.Tanh(t.Add(t.MatVec(m.att.Ww, pooled), m.att.Bw.AsVec()))
+		return t.Tanh(t.Add(t.MatVec(m.att.Ww, pooled), t.Param(m.att.Bw)))
 	}
 	agg, _ := m.att.Apply(t, hs)
 	return agg
@@ -390,10 +422,13 @@ func (m *Model) shadow() *Model {
 }
 
 // trainSlot is one minibatch position's private training state: a
-// shadow model (shared weights, private gradients) and a reusable
-// tape. Slot k always computes the k-th example of the current
-// minibatch, whichever pool worker picks it up, so the work done per
-// slot — and the gradients it yields — never depends on scheduling.
+// model replica and a reusable tape. Slot 0 trains the master model
+// itself — its gradients are the first term of the reduction, so
+// accumulating them in place equals adding them to a zeroed master —
+// and every other slot a shadow (shared weights, private gradients).
+// Slot k always computes the k-th example of the current minibatch,
+// whichever pool worker picks it up, so the work done per slot — and
+// the gradients it yields — never depends on scheduling.
 type trainSlot struct {
 	model *Model
 	tape  *neural.Tape
@@ -408,7 +443,7 @@ type trainSlot struct {
 //     from the sequential implementation).
 //  2. For every minibatch of opts.Batch examples, per-example
 //     gradients are computed concurrently on up to opts.Workers
-//     goroutines — one shadow model and one reusable tape per slot,
+//     goroutines — one model replica and one reusable tape per slot,
 //     no shared mutable state.
 //  3. Slot gradients are reduced into the master accumulator in fixed
 //     example-index order, averaged over the batch, clipped, and
@@ -416,9 +451,14 @@ type trainSlot struct {
 //
 // Because slot k's gradient is a pure function of the weights and
 // example k, and the reduction order is fixed, the trained weights are
-// bit-identical at any worker count. At Batch=1 the reduction is a
-// plain copy and the trajectory is exactly the per-example sequential
-// loop this implementation replaced.
+// bit-identical at any worker count. At Batch=1 the reduction is
+// empty and the trajectory is exactly the per-example sequential loop
+// this implementation replaced.
+//
+// Each example's token ids are looked up once, before the first
+// epoch, and each slot's tape is reset rather than rebuilt, so an
+// epoch's forward and backward passes allocate nothing once the tapes
+// have grown to the largest example.
 func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	opts.defaults()
 	if opts.Warm != nil {
@@ -430,6 +470,10 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	for i := range order {
 		order[i] = i
 	}
+	seqs := make([][][]int, len(examples))
+	for i, ex := range examples {
+		seqs[i] = m.seqs(ex)
+	}
 	nslots := opts.Batch
 	if nslots > len(examples) {
 		nslots = len(examples)
@@ -439,7 +483,11 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 	}
 	slots := make([]*trainSlot, nslots)
 	for k := range slots {
-		slots[k] = &trainSlot{model: m.shadow(), tape: neural.NewTape()}
+		sm := m
+		if k > 0 {
+			sm = m.shadow()
+		}
+		slots[k] = &trainSlot{model: sm, tape: neural.NewTape()}
 	}
 	start := time.Now()
 	var lastLoss float64
@@ -453,18 +501,13 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 				n = nslots
 			}
 			pool.Run(n, opts.Workers, func(k int) {
-				s := slots[k]
-				s.model.params.ZeroGrad()
-				s.tape.Reset()
-				ex := examples[order[base+k]]
-				logits := s.model.forward(s.tape, ex)
-				loss, node := neural.NoiseAwareCE(s.tape, logits, ex.Marginal)
-				s.loss = loss
-				s.tape.Backward(node)
+				idx := order[base+k]
+				slots[k].step(seqs[idx], examples[idx])
 			})
-			m.params.ZeroGrad()
-			for k := 0; k < n; k++ {
+			for k := 1; k < n; k++ {
 				m.params.AccumGrad(slots[k].model.params)
+			}
+			for k := 0; k < n; k++ {
 				total += slots[k].loss
 			}
 			if n > 1 {
@@ -483,6 +526,17 @@ func (m *Model) Train(examples []Example, opts TrainOptions) TrainStats {
 		st.SecsPerEpoch = dur.Seconds() / float64(opts.Epochs)
 	}
 	return st
+}
+
+// step computes one example's loss and leaves its gradient in the
+// slot model's (zeroed) gradient buffers.
+func (s *trainSlot) step(seqs [][]int, ex Example) {
+	s.model.params.ZeroGrad()
+	s.tape.Reset()
+	logits := s.model.forwardSeqs(s.tape, seqs, ex.SparseFeats)
+	loss, node := neural.NoiseAwareCE(s.tape, logits, ex.Marginal)
+	s.loss = loss
+	s.tape.Backward(node)
 }
 
 // warmStart overwrites this model's fresh initialization with weights
@@ -534,9 +588,22 @@ func copyMatched(dst, src neural.Params) {
 // PredictProb returns the marginal probability that the candidate is a
 // true relation mention.
 func (m *Model) PredictProb(ex Example) float64 {
-	t := neural.NewTape()
-	logits := m.forward(t, ex)
-	return neural.SoftmaxProbs(logits.V)[1]
+	return m.PredictProbs([]Example{ex})[0]
+}
+
+// PredictProbs returns PredictProb for every example, in order. One
+// forward-only tape, private to the call and reset between examples,
+// serves the whole batch, so a batch allocates about as much as its
+// largest example. The model is only read: concurrent calls are safe.
+func (m *Model) PredictProbs(exs []Example) []float64 {
+	out := make([]float64, len(exs))
+	t := neural.NewInferenceTape()
+	for i, ex := range exs {
+		t.Reset()
+		logits := m.forward(t, ex)
+		out[i] = neural.SoftmaxProbs(logits.V)[1]
+	}
+	return out
 }
 
 // Classify applies the user-specified threshold over the output

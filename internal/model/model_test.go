@@ -373,3 +373,57 @@ func TestLRDecayOverride(t *testing.T) {
 	}
 	t.Fatal("LRDecayOverride(0) trained identically to the default decay")
 }
+
+// TestTrainStepSteadyStateAllocs pins the allocation-free training
+// step: once a slot's tape has grown to the largest example, a forward
+// and backward pass over any example allocates nothing.
+func TestTrainStepSteadyStateAllocs(t *testing.T) {
+	exs := goldenDataset(8)
+	for _, tc := range []struct {
+		name string
+		m    *Model
+	}{
+		{"fonduer", NewFonduer(1, 10, 3, exs)},
+		{"maxpool", NewMaxPoolText(1, 3, exs)},
+		{"doc-rnn", NewDocRNN(3, exs, 24)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			slot := &trainSlot{model: tc.m.shadow(), tape: neural.NewTape()}
+			seqs := make([][][]int, len(exs))
+			for i, ex := range exs {
+				seqs[i] = tc.m.seqs(ex)
+				slot.step(seqs[i], ex)
+			}
+			i := 0
+			allocs := testing.AllocsPerRun(20, func() {
+				k := i % len(exs)
+				slot.step(seqs[k], exs[k])
+				i++
+			})
+			if allocs > 0 {
+				t.Fatalf("steady-state training step allocates %v times, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestPredictProbsMatchesPredictProb checks the batch inference path
+// against per-example calls, including examples of different lengths
+// sharing one tape.
+func TestPredictProbsMatchesPredictProb(t *testing.T) {
+	exs := goldenDataset(10)
+	m := NewFonduer(1, 10, 4, exs)
+	m.Train(exs, TrainOptions{Epochs: 1})
+	got := m.PredictProbs(exs)
+	if len(got) != len(exs) {
+		t.Fatalf("PredictProbs returned %d probabilities for %d examples", len(got), len(exs))
+	}
+	for i, ex := range exs {
+		if want := m.PredictProb(ex); math.Float64bits(got[i]) != math.Float64bits(want) {
+			t.Fatalf("example %d: batch %v, single %v", i, got[i], want)
+		}
+	}
+	if len(m.PredictProbs(nil)) != 0 {
+		t.Fatal("PredictProbs(nil) must be empty")
+	}
+}

@@ -37,10 +37,6 @@ func (m *Mat) ZeroGrad() {
 	}
 }
 
-// AsVec returns a Vec view sharing the matrix's storage, letting bias
-// parameters participate in the graph directly.
-func (m *Mat) AsVec() *Vec { return &Vec{V: m.W, G: m.G} }
-
 // Shadow returns a matrix sharing m's weights but carrying a private,
 // zeroed gradient buffer. A forward/backward pass through a shadow
 // reads the live weights and accumulates gradients without touching
