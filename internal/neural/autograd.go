@@ -70,7 +70,7 @@ type slab[T any] struct {
 }
 
 // slabChunk is the minimum chunk length in elements.
-const slabChunk = 1024
+const slabChunk = 256
 
 // take returns n zeroed elements.
 func (s *slab[T]) take(n int) []T {
@@ -131,10 +131,6 @@ func (t *Tape) node(n int) *Vec {
 	return v
 }
 
-// Zeros returns a zero leaf node of dimension n (an initial recurrent
-// state, for example) from the tape's storage.
-func (t *Tape) Zeros(n int) *Vec { return t.node(n) }
-
 // Param returns a node viewing the whole of m — values m.W, gradients
 // m.G — so a bias participates in the graph directly.
 func (t *Tape) Param(m *Mat) *Vec {
@@ -143,10 +139,8 @@ func (t *Tape) Param(m *Mat) *Vec {
 	return v
 }
 
-// Row returns a node viewing row r of m, sharing its storage so
-// gradients flow into the matrix (embedding lookups). It is Mat.Row
-// with the node header taken from the tape.
-func (t *Tape) Row(m *Mat, r int) *Vec {
+// row is Mat.Row with the node header taken from the tape.
+func (t *Tape) row(m *Mat, r int) *Vec {
 	if r < 0 || r >= m.Rows {
 		panic("neural: row out of range")
 	}

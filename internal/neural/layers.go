@@ -33,7 +33,7 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand, init func(id int) []float64) *
 func (e *Embedding) Lookup(id int) *Vec { return e.Table.Row(e.row(id)) }
 
 // LookupOn is Lookup with the node header taken from tape t.
-func (e *Embedding) LookupOn(t *Tape, id int) *Vec { return t.Row(e.Table, e.row(id)) }
+func (e *Embedding) LookupOn(t *Tape, id int) *Vec { return t.row(e.Table, e.row(id)) }
 
 func (e *Embedding) row(id int) int {
 	if id < 0 || id >= e.Table.Rows {
@@ -96,10 +96,8 @@ func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
 		panic("neural: LSTM step dimension mismatch")
 	}
 	h, c = t.node(H), t.node(H)
-	// acts holds i, f, o, ĉ and tanh(c), H values each.
 	acts := t.vals.take(5 * H)
-	ai, af, ao := acts[:H:H], acts[H:2*H:2*H], acts[2*H:3*H:3*H]
-	ac, atc := acts[3*H:4*H:4*H], acts[4*H:5*H:5*H]
+	ai, af, ao, ac, atc := splitActs(acts, H)
 	hv, cv := h.V[:H], c.V[:H]
 	cp := cPrev.V[:H]
 	l.gates(x.V, hPrev.V, ai, af, ao, ac)
@@ -117,6 +115,12 @@ func (l *LSTM) Step(t *Tape, x, hPrev, cPrev *Vec) (h, c *Vec) {
 		t.record(op{kind: opLSTMStep, lstm: l, a: x, b: hPrev, vs: vs, out: h, acts: acts})
 	}
 	return h, c
+}
+
+// splitActs splits an LSTM step's record of H-vectors, laid out as
+// i, f, o, ĉ, tanh(c), into its five parts.
+func splitActs(acts []float64, H int) (i, f, o, cand, tc []float64) {
+	return acts[:H:H], acts[H : 2*H : 2*H], acts[2*H : 3*H : 3*H], acts[3*H : 4*H : 4*H], acts[4*H : 5*H : 5*H]
 }
 
 // gates writes the four gate activations for input x and previous
@@ -149,14 +153,11 @@ func (l *LSTM) gates(x, hp, ai, af, ao, ac []float64) {
 func (l *LSTM) stepBackward(t *Tape, o *op) {
 	H := l.HidDim
 	x, hPrev, cPrev, c, h := o.a, o.b, o.vs[0], o.vs[1], o.out
-	acts := o.acts
-	ai, af, ao := acts[:H:H], acts[H:2*H:2*H], acts[2*H:3*H:3*H]
-	ac, atc := acts[3*H:4*H:4*H], acts[4*H:5*H:5*H]
-	if cap(t.scratch) < 4*H {
-		t.scratch = make([]float64, 4*H)
+	ai, af, ao, ac, atc := splitActs(o.acts, H)
+	if cap(t.scratch) < 5*H {
+		t.scratch = make([]float64, 5*H)
 	}
-	g := t.scratch[:4*H]
-	gi, gf, gO, gc := g[:H:H], g[H:2*H:2*H], g[2*H:3*H:3*H], g[3*H:4*H:4*H]
+	gi, gf, gO, gc, _ := splitActs(t.scratch, H)
 	dh, dc := h.G[:H], c.G[:H]
 	cp, dcp := cPrev.V[:H], cPrev.G[:H]
 	bi, bf, bo, bc := l.Bi.G[:H], l.Bf.G[:H], l.Bo.G[:H], l.Bc.G[:H]
@@ -195,7 +196,7 @@ func (l *LSTM) stepBackward(t *Tape, o *op) {
 // Run processes a sequence left to right from zero initial state,
 // returning the hidden state at every timestep.
 func (l *LSTM) Run(t *Tape, xs []*Vec) []*Vec {
-	h, c := t.Zeros(l.HidDim), t.Zeros(l.HidDim)
+	h, c := t.node(l.HidDim), t.node(l.HidDim)
 	out := t.Vecs(len(xs))
 	for i, x := range xs {
 		h, c = l.Step(t, x, h, c)
