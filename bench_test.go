@@ -168,6 +168,7 @@ func benchRunWorkers(b *testing.B, workers int) {
 	task := elec.Tasks[0]
 	train, test := elec.Split()
 	gold := elec.GoldTuples[task.Relation]
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := core.Run(task, train, test, gold, core.Options{
@@ -728,7 +729,7 @@ func BenchmarkAblation_LabelModelVsMajorityVote(b *testing.B) {
 // Workers=8 on the bench corpus's training examples. Both runs train
 // the bit-identical model (gradients reduce in fixed example-index
 // order); the contrast is pure wall clock. These are gated by the CI
-// bench job against bench/baseline.txt.
+// bench job against bench/baseline.txt, on ns/op and on allocs/op.
 func BenchmarkTrainSequential(b *testing.B) { benchTrainWorkers(b, 1) }
 
 // BenchmarkTrainParallel is the 8-worker counterpart.
@@ -750,6 +751,7 @@ func benchTrainCorpus(b *testing.B) (task core.Task, numFeatures int, exs []mode
 
 func benchTrainWorkers(b *testing.B, workers int) {
 	task, numFeatures, exs := benchTrainCorpus(b)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := model.NewFonduer(len(task.Args), numFeatures, 1, exs)

@@ -11,6 +11,14 @@
 // coverage must be explicit); a new benchmark missing from the
 // baseline passes with a note, prompting a baseline refresh.
 //
+// Benchmarks that report allocations (b.ReportAllocs) are gated a
+// second time on their median allocs/op. The count is a deterministic
+// function of the code, not of the runner, so that gate is tight
+// (-max-allocs-regress, default 2%) and applies to the training and
+// end-to-end run benchmarks (-allocs-match): an allocation that
+// creeps back into the training loop fails it even when the runner is
+// fast enough to hide the time.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchtime 1x -count 3 ./... | tee bench.txt
@@ -41,22 +49,39 @@ import (
 // hosts with different core counts.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) ns/op`)
 
+// allocsField matches the allocs/op column that b.ReportAllocs (or
+// -benchmem) appends to a result line.
+var allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+
 // parseBench extracts every benchmark's ns/op samples from raw
 // `go test -bench` output, keyed by benchmark name.
 func parseBench(out string) map[string][]float64 {
-	samples := map[string][]float64{}
+	ns, _ := parseBenchAllocs(out)
+	return ns
+}
+
+// parseBenchAllocs extracts every benchmark's ns/op samples and, for
+// lines that carry one, its allocs/op samples, keyed by benchmark name.
+func parseBenchAllocs(out string) (ns, allocs map[string][]float64) {
+	ns, allocs = map[string][]float64{}, map[string][]float64{}
 	for _, line := range strings.Split(out, "\n") {
-		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
+		line = strings.TrimSpace(line)
+		m := benchLine.FindStringSubmatch(line)
 		if m == nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[2], 64)
+		v, err := strconv.ParseFloat(m[2], 64)
 		if err != nil {
 			continue
 		}
-		samples[m[1]] = append(samples[m[1]], ns)
+		ns[m[1]] = append(ns[m[1]], v)
+		if a := allocsField.FindStringSubmatch(line); a != nil {
+			if v, err := strconv.ParseFloat(a[1], 64); err == nil {
+				allocs[m[1]] = append(allocs[m[1]], v)
+			}
+		}
 	}
-	return samples
+	return ns, allocs
 }
 
 // median returns the middle sample (mean of the middle two for even
@@ -82,18 +107,27 @@ type Result struct {
 	// Ratio is current/baseline; >1 means slower.
 	Ratio float64 `json:"ratio"`
 	// Gated reports whether the benchmark counts against the gate.
-	Gated bool   `json:"gated"`
-	Pass  bool   `json:"pass"`
-	Note  string `json:"note,omitempty"`
+	Gated bool `json:"gated"`
+	// BaselineAllocs and CurrentAllocs are median allocs/op, set when
+	// AllocsGated: the benchmark matches the allocation gate and the
+	// baseline records its allocations.
+	BaselineAllocs float64 `json:"baseline_allocs,omitempty"`
+	CurrentAllocs  float64 `json:"current_allocs,omitempty"`
+	AllocsGated    bool    `json:"allocs_gated,omitempty"`
+	Pass           bool    `json:"pass"`
+	Note           string  `json:"note,omitempty"`
 }
 
 // Report is the BENCH_<sha>.json artifact.
 type Report struct {
-	SHA        string   `json:"sha"`
-	MaxRegress float64  `json:"max_regress"`
-	Match      string   `json:"match"`
-	Pass       bool     `json:"pass"`
-	Benchmarks []Result `json:"benchmarks"`
+	SHA        string  `json:"sha"`
+	MaxRegress float64 `json:"max_regress"`
+	Match      string  `json:"match"`
+	// MaxAllocsRegress and AllocsMatch configure the allocs/op gate.
+	MaxAllocsRegress float64  `json:"max_allocs_regress"`
+	AllocsMatch      string   `json:"allocs_match"`
+	Pass             bool     `json:"pass"`
+	Benchmarks       []Result `json:"benchmarks"`
 }
 
 // gate compares current medians against baseline medians and applies
@@ -148,10 +182,44 @@ func gate(baseline, current map[string][]float64, match *regexp.Regexp, maxRegre
 	return rep
 }
 
-func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress float64) (Report, error) {
+// gateAllocs applies the allocs/op threshold to the benchmarks of rep
+// that match the pattern and whose baseline records allocations. A
+// matched benchmark whose current run lost its allocs/op column fails,
+// like a benchmark missing from the run.
+func gateAllocs(rep *Report, baseline, current map[string][]float64, match *regexp.Regexp, maxRegress float64) {
+	rep.MaxAllocsRegress, rep.AllocsMatch = maxRegress, match.String()
+	for i := range rep.Benchmarks {
+		r := &rep.Benchmarks[i]
+		base, ok := baseline[r.Name]
+		// CurrentNs is 0 only for a benchmark absent from the current
+		// run, which the time gate has already judged.
+		if !ok || !match.MatchString(r.Name) || r.CurrentNs == 0 {
+			continue
+		}
+		r.AllocsGated = true
+		r.BaselineAllocs = median(base)
+		cur, ok := current[r.Name]
+		if !ok {
+			r.Pass = false
+			r.Note = strings.TrimSpace(r.Note + " allocs/op missing from current run")
+		} else if r.CurrentAllocs = median(cur); r.CurrentAllocs > r.BaselineAllocs*(1+maxRegress) {
+			r.Pass = false
+			r.Note = strings.TrimSpace(fmt.Sprintf("%s allocs/op %.0f -> %.0f (max +%.0f%%)", r.Note, r.BaselineAllocs, r.CurrentAllocs, maxRegress*100))
+		}
+		if !r.Pass {
+			rep.Pass = false
+		}
+	}
+}
+
+func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress float64, allocsExpr string, maxAllocs float64) (Report, error) {
 	match, err := regexp.Compile(matchExpr)
 	if err != nil {
 		return Report{}, fmt.Errorf("bad -match: %w", err)
+	}
+	allocsMatch, err := regexp.Compile(allocsExpr)
+	if err != nil {
+		return Report{}, fmt.Errorf("bad -allocs-match: %w", err)
 	}
 	baseRaw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -161,15 +229,16 @@ func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress f
 	if err != nil {
 		return Report{}, err
 	}
-	baseline := parseBench(string(baseRaw))
+	baseline, baseAllocs := parseBenchAllocs(string(baseRaw))
 	if len(baseline) == 0 {
 		return Report{}, fmt.Errorf("no benchmark lines in baseline %s", baselinePath)
 	}
-	current := parseBench(string(curRaw))
+	current, curAllocs := parseBenchAllocs(string(curRaw))
 	if len(current) == 0 {
 		return Report{}, fmt.Errorf("no benchmark lines in current run %s", currentPath)
 	}
 	rep := gate(baseline, current, match, maxRegress)
+	gateAllocs(&rep, baseAllocs, curAllocs, allocsMatch, maxAllocs)
 	rep.SHA = sha
 	if outPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -189,6 +258,8 @@ func main() {
 	outPath := flag.String("out", "", "write the JSON report here (the BENCH_<sha>.json artifact)")
 	matchExpr := flag.String("match", `^Benchmark(Train|Serve|Ingest)`, "regexp selecting the gated benchmarks")
 	maxRegress := flag.Float64("max-regress", 0.20, "fail when a gated benchmark's median ns/op grows by more than this fraction")
+	allocsExpr := flag.String("allocs-match", `^Benchmark(Train|Run)`, "regexp selecting the benchmarks whose allocs/op is gated")
+	maxAllocs := flag.Float64("max-allocs-regress", 0.02, "fail when an allocs-gated benchmark's median allocs/op grows by more than this fraction")
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit SHA recorded in the report")
 	flag.Parse()
 	if *currentPath == "" {
@@ -196,7 +267,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep, err := run(*baselinePath, *currentPath, *outPath, *matchExpr, *sha, *maxRegress)
+	rep, err := run(*baselinePath, *currentPath, *outPath, *matchExpr, *sha, *maxRegress, *allocsExpr, *maxAllocs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
@@ -211,9 +282,12 @@ func main() {
 		}
 		fmt.Printf("%-45s %12.0f -> %12.0f ns/op  x%.3f  [%s] %s\n",
 			r.Name, r.BaselineNs, r.CurrentNs, r.Ratio, status, r.Note)
+		if r.AllocsGated {
+			fmt.Printf("%-45s %12.0f -> %12.0f allocs/op\n", "", r.BaselineAllocs, r.CurrentAllocs)
+		}
 	}
 	if !rep.Pass {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — gated benchmark regressed more than %.0f%%\n", *maxRegress*100)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL — gated benchmark regressed more than %.0f%% in time or %.0f%% in allocations\n", *maxRegress*100, *maxAllocs*100)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: all gated benchmarks within threshold")

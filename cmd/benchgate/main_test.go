@@ -181,7 +181,7 @@ func TestRunEndToEndJSONArtifact(t *testing.T) {
 	if err := os.WriteFile(cur, []byte(sampleRun), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := run(base, cur, out, `^Benchmark(Train|Serve|Ingest)`, "deadbeef", 0.20)
+	rep, err := run(base, cur, out, `^Benchmark(Train|Serve|Ingest)`, "deadbeef", 0.20, `^Benchmark(Train|Run)`, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,10 +197,66 @@ func TestRunEndToEndJSONArtifact(t *testing.T) {
 			t.Fatalf("artifact missing %q:\n%s", want, data)
 		}
 	}
-	if _, err := run(base, filepath.Join(dir, "nope.txt"), "", `.`, "", 0.2); err == nil {
+	if _, err := run(base, filepath.Join(dir, "nope.txt"), "", `.`, "", 0.2, `.`, 0.02); err == nil {
 		t.Fatal("missing current file must error")
 	}
-	if _, err := run(base, cur, "", `(`, "", 0.2); err == nil {
+	if _, err := run(base, cur, "", `(`, "", 0.2, `.`, 0.02); err == nil {
 		t.Fatal("bad regexp must error")
+	}
+	if _, err := run(base, cur, "", `.`, "", 0.2, `(`, 0.02); err == nil {
+		t.Fatal("bad allocs regexp must error")
+	}
+}
+
+const allocsRun = `BenchmarkTrainSequential-2   	       1	 176075710 ns/op	       396.0 examples	        87.09 ms/epoch	 5920616 B/op	   11333 allocs/op
+BenchmarkTrainSequential-2   	       1	 176692004 ns/op	       396.0 examples	        85.98 ms/epoch	 5920568 B/op	   11334 allocs/op
+BenchmarkRunSequential-2     	       1	 433071662 ns/op	         0.9600 F1	21464368 B/op	  102406 allocs/op
+BenchmarkTokenize            	  500000	      2100 ns/op	     512 B/op	       9 allocs/op
+`
+
+func TestParseBenchAllocs(t *testing.T) {
+	ns, allocs := parseBenchAllocs(allocsRun + sampleRun)
+	if got := allocs["BenchmarkTrainSequential"]; len(got) != 2 || got[0] != 11333 || got[1] != 11334 {
+		t.Fatalf("TrainSequential allocs = %v", got)
+	}
+	if got := allocs["BenchmarkRunSequential"]; len(got) != 1 || got[0] != 102406 {
+		t.Fatalf("RunSequential allocs = %v", got)
+	}
+	// Lines without an allocs/op column add ns/op samples only.
+	if len(ns["BenchmarkTrainSequential"]) != 5 || len(allocs["BenchmarkTrainParallel"]) != 0 {
+		t.Fatalf("ns = %v, allocs = %v", ns, allocs)
+	}
+}
+
+func TestGateAllocs(t *testing.T) {
+	match := regexp.MustCompile(`^Benchmark(Train|Run)`)
+	baseNs := map[string][]float64{"BenchmarkTrainSequential": {100}, "BenchmarkRunSequential": {100}, "BenchmarkTokenize": {100}}
+	baseAllocs := map[string][]float64{"BenchmarkTrainSequential": {1000}, "BenchmarkTokenize": {9}}
+	check := func(curAllocs map[string][]float64) Report {
+		rep := gate(baseNs, baseNs, regexp.MustCompile(`^BenchmarkTrain`), 0.20)
+		gateAllocs(&rep, baseAllocs, curAllocs, match, 0.02)
+		return rep
+	}
+
+	// Within 2%, and an ungated benchmark allocating far more: passes.
+	rep := check(map[string][]float64{"BenchmarkTrainSequential": {1020}, "BenchmarkTokenize": {900}})
+	if !rep.Pass {
+		t.Fatalf("2%% allocation growth must pass: %+v", rep)
+	}
+	for _, r := range rep.Benchmarks {
+		// RunSequential has no allocs/op in the baseline: not gated.
+		if want := r.Name == "BenchmarkTrainSequential"; r.AllocsGated != want {
+			t.Fatalf("%s: AllocsGated = %v, want %v", r.Name, r.AllocsGated, want)
+		}
+	}
+
+	// Beyond 2% fails, even with time unchanged.
+	if rep := check(map[string][]float64{"BenchmarkTrainSequential": {1021}}); rep.Pass {
+		t.Fatal("2.1% allocation growth must fail")
+	}
+
+	// A gated benchmark that stopped reporting allocations fails.
+	if rep := check(map[string][]float64{}); rep.Pass {
+		t.Fatal("missing allocs/op must fail")
 	}
 }
