@@ -11,13 +11,12 @@
 // coverage must be explicit); a new benchmark missing from the
 // baseline passes with a note, prompting a baseline refresh.
 //
-// Benchmarks that report allocations (b.ReportAllocs) are gated a
-// second time on their median allocs/op. The count is a deterministic
-// function of the code, not of the runner, so that gate is tight
-// (-max-allocs-regress, default 2%) and applies to the training and
-// end-to-end run benchmarks (-allocs-match): an allocation that
-// creeps back into the training loop fails it even when the runner is
-// fast enough to hide the time.
+// The training and end-to-end run benchmarks, which report
+// allocations, are gated a second time on their median allocs/op. The
+// count is a function of the code, not of the runner, so that gate is
+// tight (maxAllocsRegress): an allocation that creeps back into the
+// training loop fails it even when the runner is fast enough to hide
+// the time.
 //
 // Usage:
 //
@@ -52,6 +51,12 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([0-9.]+) 
 // allocsField matches the allocs/op column that b.ReportAllocs (or
 // -benchmem) appends to a result line.
 var allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
+
+// allocsGated selects the benchmarks whose allocs/op is gated, and
+// maxAllocsRegress is the fraction by which their median may grow.
+var allocsGated = regexp.MustCompile(`^Benchmark(Train|Run)`)
+
+const maxAllocsRegress = 0.02
 
 // parseBench extracts every benchmark's ns/op samples from raw
 // `go test -bench` output, keyed by benchmark name.
@@ -123,7 +128,7 @@ type Report struct {
 	SHA        string  `json:"sha"`
 	MaxRegress float64 `json:"max_regress"`
 	Match      string  `json:"match"`
-	// MaxAllocsRegress and AllocsMatch configure the allocs/op gate.
+	// MaxAllocsRegress and AllocsMatch record the allocs/op gate.
 	MaxAllocsRegress float64  `json:"max_allocs_regress"`
 	AllocsMatch      string   `json:"allocs_match"`
 	Pass             bool     `json:"pass"`
@@ -182,18 +187,18 @@ func gate(baseline, current map[string][]float64, match *regexp.Regexp, maxRegre
 	return rep
 }
 
-// gateAllocs applies the allocs/op threshold to the benchmarks of rep
-// that match the pattern and whose baseline records allocations. A
+// gateAllocs applies maxAllocsRegress to the benchmarks of rep that
+// match allocsGated and whose baseline records allocations. A
 // matched benchmark whose current run lost its allocs/op column fails,
 // like a benchmark missing from the run.
-func gateAllocs(rep *Report, baseline, current map[string][]float64, match *regexp.Regexp, maxRegress float64) {
-	rep.MaxAllocsRegress, rep.AllocsMatch = maxRegress, match.String()
+func gateAllocs(rep *Report, baseline, current map[string][]float64) {
+	rep.MaxAllocsRegress, rep.AllocsMatch = maxAllocsRegress, allocsGated.String()
 	for i := range rep.Benchmarks {
 		r := &rep.Benchmarks[i]
 		base, ok := baseline[r.Name]
 		// CurrentNs is 0 only for a benchmark absent from the current
 		// run, which the time gate has already judged.
-		if !ok || !match.MatchString(r.Name) || r.CurrentNs == 0 {
+		if !ok || !allocsGated.MatchString(r.Name) || r.CurrentNs == 0 {
 			continue
 		}
 		r.AllocsGated = true
@@ -202,9 +207,9 @@ func gateAllocs(rep *Report, baseline, current map[string][]float64, match *rege
 		if !ok {
 			r.Pass = false
 			r.Note = strings.TrimSpace(r.Note + " allocs/op missing from current run")
-		} else if r.CurrentAllocs = median(cur); r.CurrentAllocs > r.BaselineAllocs*(1+maxRegress) {
+		} else if r.CurrentAllocs = median(cur); r.CurrentAllocs > r.BaselineAllocs*(1+maxAllocsRegress) {
 			r.Pass = false
-			r.Note = strings.TrimSpace(fmt.Sprintf("%s allocs/op %.0f -> %.0f (max +%.0f%%)", r.Note, r.BaselineAllocs, r.CurrentAllocs, maxRegress*100))
+			r.Note = strings.TrimSpace(fmt.Sprintf("%s allocs/op %.0f -> %.0f (max +%.0f%%)", r.Note, r.BaselineAllocs, r.CurrentAllocs, maxAllocsRegress*100))
 		}
 		if !r.Pass {
 			rep.Pass = false
@@ -212,14 +217,10 @@ func gateAllocs(rep *Report, baseline, current map[string][]float64, match *rege
 	}
 }
 
-func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress float64, allocsExpr string, maxAllocs float64) (Report, error) {
+func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress float64) (Report, error) {
 	match, err := regexp.Compile(matchExpr)
 	if err != nil {
 		return Report{}, fmt.Errorf("bad -match: %w", err)
-	}
-	allocsMatch, err := regexp.Compile(allocsExpr)
-	if err != nil {
-		return Report{}, fmt.Errorf("bad -allocs-match: %w", err)
 	}
 	baseRaw, err := os.ReadFile(baselinePath)
 	if err != nil {
@@ -238,7 +239,7 @@ func run(baselinePath, currentPath, outPath, matchExpr, sha string, maxRegress f
 		return Report{}, fmt.Errorf("no benchmark lines in current run %s", currentPath)
 	}
 	rep := gate(baseline, current, match, maxRegress)
-	gateAllocs(&rep, baseAllocs, curAllocs, allocsMatch, maxAllocs)
+	gateAllocs(&rep, baseAllocs, curAllocs)
 	rep.SHA = sha
 	if outPath != "" {
 		data, err := json.MarshalIndent(rep, "", "  ")
@@ -258,8 +259,6 @@ func main() {
 	outPath := flag.String("out", "", "write the JSON report here (the BENCH_<sha>.json artifact)")
 	matchExpr := flag.String("match", `^Benchmark(Train|Serve|Ingest)`, "regexp selecting the gated benchmarks")
 	maxRegress := flag.Float64("max-regress", 0.20, "fail when a gated benchmark's median ns/op grows by more than this fraction")
-	allocsExpr := flag.String("allocs-match", `^Benchmark(Train|Run)`, "regexp selecting the benchmarks whose allocs/op is gated")
-	maxAllocs := flag.Float64("max-allocs-regress", 0.02, "fail when an allocs-gated benchmark's median allocs/op grows by more than this fraction")
 	sha := flag.String("sha", os.Getenv("GITHUB_SHA"), "commit SHA recorded in the report")
 	flag.Parse()
 	if *currentPath == "" {
@@ -267,7 +266,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	rep, err := run(*baselinePath, *currentPath, *outPath, *matchExpr, *sha, *maxRegress, *allocsExpr, *maxAllocs)
+	rep, err := run(*baselinePath, *currentPath, *outPath, *matchExpr, *sha, *maxRegress)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(2)
@@ -287,7 +286,7 @@ func main() {
 		}
 	}
 	if !rep.Pass {
-		fmt.Fprintf(os.Stderr, "benchgate: FAIL — gated benchmark regressed more than %.0f%% in time or %.0f%% in allocations\n", *maxRegress*100, *maxAllocs*100)
+		fmt.Fprintf(os.Stderr, "benchgate: FAIL — gated benchmark regressed more than %.0f%% in time or %.0f%% in allocations\n", *maxRegress*100, maxAllocsRegress*100)
 		os.Exit(1)
 	}
 	fmt.Println("benchgate: all gated benchmarks within threshold")
