@@ -172,7 +172,7 @@ type adamMoments struct {
 // NewAdam returns Adam with the conventional defaults and the given
 // learning rate.
 func NewAdam(lr float64) *Adam {
-	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8, index: map[*Mat]int{}}
+	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
 // state returns the moments of p, the k-th entry of the list being
