@@ -58,13 +58,6 @@ var allocsGated = regexp.MustCompile(`^Benchmark(Train|Run)`)
 
 const maxAllocsRegress = 0.02
 
-// parseBench extracts every benchmark's ns/op samples from raw
-// `go test -bench` output, keyed by benchmark name.
-func parseBench(out string) map[string][]float64 {
-	ns, _ := parseBenchAllocs(out)
-	return ns
-}
-
 // parseBenchAllocs extracts every benchmark's ns/op samples and, for
 // lines that carry one, its allocs/op samples, keyed by benchmark name.
 func parseBenchAllocs(out string) (ns, allocs map[string][]float64) {

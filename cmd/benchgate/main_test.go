@@ -22,7 +22,7 @@ ok  	repro	2.9s
 `
 
 func TestParseBenchMediansAndSuffixStripping(t *testing.T) {
-	samples := parseBench(sampleRun)
+	samples, _ := parseBenchAllocs(sampleRun)
 	if got := len(samples["BenchmarkTrainSequential"]); got != 3 {
 		t.Fatalf("TrainSequential samples = %d", got)
 	}
@@ -118,7 +118,7 @@ func TestBaselineGatesFilteredRead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	baseline := parseBench(string(raw))
+	baseline, _ := parseBenchAllocs(string(raw))
 	match := regexp.MustCompile(`^Benchmark(Train|Serve|Ingest)`)
 	names := []string{
 		"BenchmarkServeKBFilteredRead",

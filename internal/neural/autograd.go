@@ -139,7 +139,8 @@ func (t *Tape) Param(m *Mat) *Vec {
 	return v
 }
 
-// row is Mat.Row with the node header taken from the tape.
+// row returns a node viewing row r of m; the view shares storage, so
+// gradients flow into the matrix.
 func (t *Tape) row(m *Mat, r int) *Vec {
 	if r < 0 || r >= m.Rows {
 		panic("neural: row out of range")

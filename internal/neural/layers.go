@@ -28,11 +28,8 @@ func NewEmbedding(vocab, dim int, rng *rand.Rand, init func(id int) []float64) *
 	return &Embedding{Table: t}
 }
 
-// Lookup returns the embedding of a vocabulary id; out-of-range ids
-// fall back to row 0.
-func (e *Embedding) Lookup(id int) *Vec { return e.Table.Row(e.row(id)) }
-
-// LookupOn is Lookup with the node header taken from tape t.
+// LookupOn returns the embedding of a vocabulary id as a node of tape
+// t; out-of-range ids fall back to row 0.
 func (e *Embedding) LookupOn(t *Tape, id int) *Vec { return t.row(e.Table, e.row(id)) }
 
 func (e *Embedding) row(id int) int {

@@ -111,7 +111,7 @@ func TestGradientsEmbedding(t *testing.T) {
 	loss := func() float64 {
 		tape := NewTape()
 		// Same id twice: gradient accumulates into one row.
-		s := tape.Sum(emb.Lookup(2), emb.Lookup(2), emb.Lookup(4))
+		s := tape.Sum(emb.LookupOn(tape, 2), emb.LookupOn(tape, 2), emb.LookupOn(tape, 4))
 		l, node := NoiseAwareCE(tape, head.Apply(tape, s), 0.5)
 		tape.Backward(node)
 		return l
@@ -192,7 +192,13 @@ func TestDimensionPanics(t *testing.T) {
 		"Sum":    func() { tape.Sum() },
 		"CE":     func() { NoiseAwareCE(tape, NewVec(3), 0.5) },
 		"Pool":   func() { MaxPool(tape, nil) },
-		"Row":    func() { NewMat(2, 2).Row(5) },
+		"Row":    func() { tape.row(NewMat(2, 2), 5) },
+		"Adam": func() {
+			a, b := NewMat(1, 1), NewMat(1, 1)
+			o := NewAdam(0.1)
+			o.Step(Params{a, b})
+			o.Step(Params{b, a})
+		},
 	} {
 		func() {
 			defer func() {
@@ -280,11 +286,12 @@ func TestEmbeddingInitAndOOV(t *testing.T) {
 	emb := NewEmbedding(3, 2, rng, func(id int) []float64 {
 		return []float64{float64(id), float64(id)}
 	})
-	if emb.Lookup(2).V[0] != 2 {
+	tape := NewTape()
+	if emb.LookupOn(tape, 2).V[0] != 2 {
 		t.Fatal("init function ignored")
 	}
 	// Out-of-range ids fall back to row 0.
-	if emb.Lookup(-1).V[0] != 0 || emb.Lookup(99).V[0] != 0 {
+	if emb.LookupOn(tape, -1).V[0] != 0 || emb.LookupOn(tape, 99).V[0] != 0 {
 		t.Fatal("OOV lookup must use row 0")
 	}
 }

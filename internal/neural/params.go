@@ -46,15 +46,6 @@ func (m *Mat) Shadow() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, W: m.W, G: make([]float64, len(m.G))}
 }
 
-// Row returns a Vec view of one row (used by embedding lookups); the
-// view shares storage, so gradients flow into the table.
-func (m *Mat) Row(r int) *Vec {
-	if r < 0 || r >= m.Rows {
-		panic("neural: row out of range")
-	}
-	return &Vec{V: m.W[r*m.Cols : (r+1)*m.Cols], G: m.G[r*m.Cols : (r+1)*m.Cols]}
-}
-
 // Params is the set of trainable matrices of a model.
 type Params []*Mat
 
@@ -157,11 +148,10 @@ type Adam struct {
 	WeightDecay           float64
 
 	t int
-	// moments holds each parameter's first and second moment in the
-	// order Step first saw the parameters; index finds a parameter's
-	// slot when a later list orders them differently.
+	// moments holds each parameter's first and second moments by the
+	// parameter's position in the stepped list, so every Step must pass
+	// the same parameters in the same order.
 	moments []adamMoments
-	index   map[*Mat]int
 }
 
 type adamMoments struct {
@@ -175,25 +165,6 @@ func NewAdam(lr float64) *Adam {
 	return &Adam{LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 }
 
-// state returns the moments of p, the k-th entry of the list being
-// stepped, creating zeroed ones on first sight. A list in first-seen
-// order (the usual case) needs no map lookup.
-func (o *Adam) state(k int, p *Mat) *adamMoments {
-	if k < len(o.moments) && o.moments[k].p == p {
-		return &o.moments[k]
-	}
-	if o.index == nil {
-		o.index = map[*Mat]int{}
-	}
-	j, ok := o.index[p]
-	if !ok {
-		j = len(o.moments)
-		o.index[p] = j
-		o.moments = append(o.moments, adamMoments{p: p, m: make([]float64, len(p.W)), v: make([]float64, len(p.W))})
-	}
-	return &o.moments[j]
-}
-
 // Step implements Optimizer. Every element goes through the textbook
 // update with the same operations in the same order; only loop
 // invariants are hoisted.
@@ -205,7 +176,13 @@ func (o *Adam) Step(ps Params) {
 	beta1, beta2 := o.Beta1, o.Beta2
 	c1, c2 := 1-beta1, 1-beta2
 	for k, p := range ps {
-		st := o.state(k, p)
+		if k == len(o.moments) {
+			o.moments = append(o.moments, adamMoments{p: p, m: make([]float64, len(p.W)), v: make([]float64, len(p.W))})
+		}
+		st := &o.moments[k]
+		if st.p != p {
+			panic("neural: Adam.Step parameter list differs from the first step's")
+		}
 		w := p.W
 		n := len(w)
 		g, m, v := p.G[:n], st.m[:n], st.v[:n]
