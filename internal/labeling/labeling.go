@@ -12,6 +12,7 @@
 package labeling
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 
@@ -213,6 +214,14 @@ func (o *FitOptions) defaults() {
 //	E-step: μ_i = P(y_i=+1 | Λ_i, acc, prior)
 //	M-step: acc_j = expected fraction of LF j's labels that agree
 //	        with the latent label; prior = mean μ.
+//
+// The E-step depends on a row only through its label pattern (the
+// sequence of voting columns and their signs), so each distinct
+// pattern's posterior is evaluated once per iteration and copied to
+// its rows, from logarithms taken once per iteration. Every posterior
+// is the same sequence of float operations on the same operands as a
+// per-row evaluation, and the M-step and convergence sums still run
+// per row in row order, so the fit is bit-identical to the direct EM.
 func Fit(m *Matrix, opts FitOptions) *Model {
 	opts.defaults()
 	m = m.Compact()
@@ -223,13 +232,29 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 	if m.NumCands == 0 || m.NumLFs == 0 {
 		return mod
 	}
+	pats, of := groupPatterns(m)
+	post := make([]float64, len(pats))
+	var lt logTable
 	mu := make([]float64, m.NumCands)
 	prev := make([]float64, m.NumCands)
+	// Vote counts per LF are exact small integers, the same every
+	// iteration.
+	total := make([]float64, m.NumLFs)
+	for i := 0; i < m.NumCands; i++ {
+		for _, e := range m.RowLabels(i) {
+			total[e.Col]++
+		}
+	}
+	agree := make([]float64, m.NumLFs)
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		mod.Iterations = iter + 1
 		// E-step.
+		lt.fill(mod)
+		for p, row := range pats {
+			post[p] = lt.posterior(row)
+		}
 		for i := range mu {
-			mu[i] = mod.posterior(m.RowLabels(i))
+			mu[i] = post[of[i]]
 		}
 		// Convergence check.
 		if iter > 0 {
@@ -243,13 +268,9 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 		}
 		copy(prev, mu)
 		// M-step.
-		agree := make([]float64, m.NumLFs)
-		total := make([]float64, m.NumLFs)
-		sum := 0.0
+		clear(agree)
 		for i := 0; i < m.NumCands; i++ {
-			sum += mu[i]
 			for _, e := range m.RowLabels(i) {
-				total[e.Col]++
 				if e.Val > 0 {
 					agree[e.Col] += mu[i]
 				} else {
@@ -281,23 +302,74 @@ func Fit(m *Matrix, opts FitOptions) *Model {
 				mod.Prior = clamp(covSum/float64(covN), 0.05, 0.95)
 			}
 		}
-		_ = sum
 	}
 	return mod
 }
 
+// groupPatterns returns one representative row per distinct label
+// pattern, in order of first appearance, and each row's pattern
+// index. Rows share a pattern when they carry the same voting columns
+// in the same order with the same signs; the posterior reads nothing
+// else from a row.
+func groupPatterns(m *Matrix) (pats [][]sparse.Entry, of []int) {
+	of = make([]int, m.NumCands)
+	ids := map[string]int{}
+	var key []byte
+	for i := range of {
+		row := m.RowLabels(i)
+		key = key[:0]
+		for _, e := range row {
+			col := uint64(e.Col) << 1
+			if e.Val > 0 {
+				col |= 1
+			}
+			key = binary.AppendUvarint(key, col)
+		}
+		id, ok := ids[string(key)]
+		if !ok {
+			id = len(pats)
+			ids[string(key)] = id
+			pats = append(pats, row)
+		}
+		of[i] = id
+	}
+	return pats, of
+}
+
+// logTable caches the logarithms one E-step pass needs: the log prior
+// odds' two terms and each LF's log accuracy and log inaccuracy. The
+// values are the very expressions a per-entry evaluation would
+// compute, so posteriors from the table carry the same bits.
+type logTable struct {
+	pos, neg     float64   // log(Prior), log(1-Prior)
+	right, wrong []float64 // log(Acc[j]), log(1-Acc[j])
+}
+
+// fill recomputes the table for the model's current parameters.
+func (lt *logTable) fill(mod *Model) {
+	lt.pos = math.Log(mod.Prior)
+	lt.neg = math.Log(1 - mod.Prior)
+	if cap(lt.right) < len(mod.Acc) {
+		lt.right = make([]float64, len(mod.Acc))
+		lt.wrong = make([]float64, len(mod.Acc))
+	}
+	lt.right, lt.wrong = lt.right[:len(mod.Acc)], lt.wrong[:len(mod.Acc)]
+	for j, a := range mod.Acc {
+		lt.right[j] = math.Log(a)
+		lt.wrong[j] = math.Log(1 - a)
+	}
+}
+
 // posterior computes P(y=+1 | row) under the independent-LF model.
-func (mod *Model) posterior(row []sparse.Entry) float64 {
-	logPos := math.Log(mod.Prior)
-	logNeg := math.Log(1 - mod.Prior)
+func (lt *logTable) posterior(row []sparse.Entry) float64 {
+	logPos, logNeg := lt.pos, lt.neg
 	for _, e := range row {
-		a := mod.Acc[e.Col]
 		if e.Val > 0 {
-			logPos += math.Log(a)
-			logNeg += math.Log(1 - a)
+			logPos += lt.right[e.Col]
+			logNeg += lt.wrong[e.Col]
 		} else {
-			logPos += math.Log(1 - a)
-			logNeg += math.Log(a)
+			logPos += lt.wrong[e.Col]
+			logNeg += lt.right[e.Col]
 		}
 	}
 	// Stable softmax over two log scores.
@@ -312,9 +384,11 @@ func (mod *Model) posterior(row []sparse.Entry) float64 {
 // discriminative model. Rows with no labels get the prior.
 func (mod *Model) Marginals(m *Matrix) []float64 {
 	m = m.Compact()
+	var lt logTable
+	lt.fill(mod)
 	out := make([]float64, m.NumCands)
 	for i := range out {
-		out[i] = mod.posterior(m.RowLabels(i))
+		out[i] = lt.posterior(m.RowLabels(i))
 	}
 	return out
 }

@@ -178,17 +178,18 @@ func TestFitEmpty(t *testing.T) {
 }
 
 func TestPosteriorDirections(t *testing.T) {
-	mod := &Model{Acc: []float64{0.9, 0.9}, Prior: 0.5}
-	pos := mod.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: 1}})
-	neg := mod.posterior([]sparse.Entry{{Col: 0, Val: -1}, {Col: 1, Val: -1}})
-	mixed := mod.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: -1}})
+	var lt logTable
+	lt.fill(&Model{Acc: []float64{0.9, 0.9}, Prior: 0.5})
+	pos := lt.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: 1}})
+	neg := lt.posterior([]sparse.Entry{{Col: 0, Val: -1}, {Col: 1, Val: -1}})
+	mixed := lt.posterior([]sparse.Entry{{Col: 0, Val: 1}, {Col: 1, Val: -1}})
 	if pos < 0.9 || neg > 0.1 {
 		t.Fatalf("posteriors: pos=%v neg=%v", pos, neg)
 	}
 	if math.Abs(mixed-0.5) > 1e-9 {
 		t.Fatalf("balanced conflict should be 0.5, got %v", mixed)
 	}
-	if p := mod.posterior(nil); p != 0.5 {
+	if p := lt.posterior(nil); p != 0.5 {
 		t.Fatalf("empty row posterior = %v", p)
 	}
 }
