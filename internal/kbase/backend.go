@@ -2,8 +2,8 @@ package kbase
 
 import (
 	"fmt"
-	"hash/fnv"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -412,11 +412,94 @@ func clipPage(n, offset, limit int) (lo, hi int) {
 	return offset, hi
 }
 
-// hashKey hashes a canonical tuple key for the Table's dedup index.
-// Positions sharing a hash are verified against the stored row, so
-// collisions cost a row fetch, never a correctness failure.
-func hashKey(k string) uint64 {
-	h := fnv.New64a()
-	_, _ = io.WriteString(h, k)
-	return h.Sum64()
+// FNV-1a 64-bit parameters.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+// fnvString folds s into the FNV-1a hash h.
+func fnvString(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// fnvBytes folds b into the FNV-1a hash h.
+func fnvBytes(h uint64, b []byte) uint64 {
+	for _, c := range b {
+		h = (h ^ uint64(c)) * fnvPrime
+	}
+	return h
+}
+
+// hashKey is the FNV-1a hash of one rendered value, the key of the
+// planner's column indexes.
+func hashKey(k string) uint64 { return fnvString(fnvOffset, k) }
+
+// hashTuple hashes a tuple for the Table's dedup index: FNV-1a over
+// each column's rendering (renderCell), each followed by a 0xff byte
+// (never part of a number's rendering). Numbers are rendered into a
+// stack buffer, so hashing a string/int64/float64 tuple allocates
+// nothing. Tuples that render the same hash the same; positions
+// sharing a hash are confirmed with rowsEqual, so a collision costs a
+// row fetch, never a wrong answer.
+func hashTuple(tp Tuple) uint64 {
+	var buf [32]byte // fits any int64 or shortest float64 rendering
+	h := uint64(fnvOffset)
+	for _, v := range tp {
+		switch x := v.(type) {
+		case string:
+			h = fnvString(h, x)
+		case int64:
+			h = fnvBytes(h, strconv.AppendInt(buf[:0], x, 10))
+		case float64:
+			h = fnvBytes(h, strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
+		default:
+			h = fnvString(h, renderCell(v))
+		}
+		h = (h ^ 0xff) * fnvPrime
+	}
+	return h
+}
+
+// cellsEqual reports whether two cells render the same. Cells of one
+// normalized storage type compare directly: shortest float formatting
+// is injective except that every NaN renders "NaN", and 0 and -0
+// render differently. Any other pairing (an ill-typed probe, an
+// unnormalized type) compares renderings.
+func cellsEqual(a, b any) bool {
+	switch x := a.(type) {
+	case string:
+		if y, ok := b.(string); ok {
+			return x == y
+		}
+	case int64:
+		if y, ok := b.(int64); ok {
+			return x == y
+		}
+	case float64:
+		if y, ok := b.(float64); ok {
+			if x != x || y != y {
+				return x != x && y != y
+			}
+			return x == y && math.Signbit(x) == math.Signbit(y)
+		}
+	}
+	return renderCell(a) == renderCell(b)
+}
+
+// rowsEqual reports whether two tuples are duplicates under set
+// semantics: the same arity and every column rendering the same.
+func rowsEqual(a, b Tuple) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !cellsEqual(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
 }

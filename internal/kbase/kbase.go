@@ -140,15 +140,22 @@ func (tp Tuple) Clone() Tuple {
 // are de-duplicated when populating the KB). Row storage is delegated
 // to a pluggable Backend — in-memory or disk-paged — while the Table
 // keeps the relational semantics: schema/type checking, tuple
-// normalization, and the dedup index (a compact hash -> positions map,
-// ~16 bytes per row, so set semantics cost bounded memory even when
-// the rows themselves live on disk; hash collisions are verified
-// against the stored row).
+// normalization, and the dedup index.
+//
+// Two tuples are duplicates when every column renders the same
+// (renderCell, i.e. fmt.Sprint). The index maps a tuple's hash
+// (hashTuple) to the first stored position with that hash; the rare
+// further positions sharing a hash go to overflow. Both maps are free
+// of pointers, so the garbage collector never scans them, and set
+// semantics cost a bounded ~20-40 bytes per row even when the rows
+// themselves live on disk. Every candidate position is confirmed
+// column by column against the stored row (rowsEqual).
 type Table struct {
-	schema Schema
-	be     Backend
-	index  map[uint64][]int // hash of canonical key -> candidate positions
-	plan   *planner         // filtered-read planner (lazy hash indexes)
+	schema   Schema
+	be       Backend
+	index    map[uint64]int   // tuple hash -> first position with that hash
+	overflow map[uint64][]int // tuple hash -> later positions (collisions)
+	plan     *planner         // filtered-read planner (lazy hash indexes)
 }
 
 // NewTable creates an empty in-memory table for the schema.
@@ -159,7 +166,7 @@ func NewTable(schema Schema) *Table {
 
 // newTableWith wraps an empty backend in a table.
 func newTableWith(schema Schema, be Backend) *Table {
-	return &Table{schema: schema, be: be, index: map[uint64][]int{}, plan: newPlanner()}
+	return &Table{schema: schema, be: be, index: map[uint64]int{}, plan: newPlanner()}
 }
 
 // BackendKind names the table's storage backend.
@@ -180,7 +187,7 @@ func (t *Table) BackendStats() BackendStats {
 // Close releases the table's backend resources (disk pages). The
 // table is unusable afterwards.
 func (t *Table) Close() error {
-	t.index = nil
+	t.index, t.overflow = nil, nil
 	t.plan.invalidate()
 	return t.be.Close()
 }
@@ -190,15 +197,6 @@ func (t *Table) Schema() Schema { return t.schema }
 
 // Len returns the number of stored tuples.
 func (t *Table) Len() int { return t.be.Len() }
-
-// key canonicalizes a tuple for set membership.
-func (t *Table) key(tp Tuple) string {
-	parts := make([]string, len(tp))
-	for i, v := range tp {
-		parts[i] = fmt.Sprintf("%v", v)
-	}
-	return strings.Join(parts, "\x00")
-}
 
 // typeOK checks a value against a column type.
 func typeOK(v any, ct ColType) bool {
@@ -239,26 +237,44 @@ func (t *Table) normalize(tp Tuple, check bool) (Tuple, error) {
 	return norm, nil
 }
 
-// lookup returns the position of the tuple with canonical key k, or
-// -1. Hash collisions are resolved by fetching the candidate rows and
-// comparing keys.
-func (t *Table) lookup(k string) int {
-	for _, pos := range t.index[hashKey(k)] {
-		if t.key(t.be.Get(pos)) == k {
+// lookup returns the position of the stored tuple equal to tp, whose
+// hash is h, or -1.
+func (t *Table) lookup(tp Tuple, h uint64) int {
+	pos, ok := t.index[h]
+	if !ok {
+		return -1
+	}
+	if rowsEqual(t.be.Get(pos), tp) {
+		return pos
+	}
+	for _, pos := range t.overflow[h] {
+		if rowsEqual(t.be.Get(pos), tp) {
 			return pos
 		}
 	}
 	return -1
 }
 
+// addToIndex records that the tuple at pos hashes to h.
+func (t *Table) addToIndex(h uint64, pos int) {
+	if _, taken := t.index[h]; !taken {
+		t.index[h] = pos
+		return
+	}
+	if t.overflow == nil {
+		t.overflow = map[uint64][]int{}
+	}
+	t.overflow[h] = append(t.overflow[h], pos)
+}
+
 // rebuildIndex rehashes every stored row — the epilogue of any
 // positional change (deletes re-pack positions).
 func (t *Table) rebuildIndex() {
-	t.index = make(map[uint64][]int, t.be.Len())
+	t.index = make(map[uint64]int, t.be.Len())
+	t.overflow = nil
 	pos := 0
 	t.be.Scan(func(tp Tuple) bool {
-		h := hashKey(t.key(tp))
-		t.index[h] = append(t.index[h], pos)
+		t.addToIndex(hashTuple(tp), pos)
 		pos++
 		return true
 	})
@@ -271,16 +287,15 @@ func (t *Table) Insert(tp Tuple) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	k := t.key(norm)
-	if t.lookup(k) >= 0 {
+	h := hashTuple(norm)
+	if t.lookup(norm, h) >= 0 {
 		return false, nil
 	}
 	pos := t.be.Len()
 	if err := t.be.Append(norm); err != nil {
 		return false, err
 	}
-	h := hashKey(k)
-	t.index[h] = append(t.index[h], pos)
+	t.addToIndex(h, pos)
 	t.plan.invalidate()
 	return true, nil
 }
@@ -291,7 +306,7 @@ func (t *Table) Contains(tp Tuple) bool {
 	if err != nil {
 		return false
 	}
-	return t.lookup(t.key(norm)) >= 0
+	return t.lookup(norm, hashTuple(norm)) >= 0
 }
 
 // Delete removes the exact tuple (after int normalization), reporting
@@ -304,12 +319,11 @@ func (t *Table) Delete(tp Tuple) bool {
 	if err != nil {
 		return false
 	}
-	k := t.key(norm)
-	if t.lookup(k) < 0 {
+	if t.lookup(norm, hashTuple(norm)) < 0 {
 		return false
 	}
-	// Set semantics: exactly one stored row carries this key.
-	t.be.DeleteWhere(func(row Tuple) bool { return t.key(row) == k })
+	// Set semantics: exactly one stored row equals the tuple.
+	t.be.DeleteWhere(func(row Tuple) bool { return rowsEqual(row, norm) })
 	t.rebuildIndex()
 	t.plan.invalidate()
 	return true
