@@ -14,7 +14,7 @@ import (
 // filtered reads fast:
 //
 //   - per-column in-page min/max zones (the same pageZone machinery as
-//     the disk engine's sidecars) prove "no row on this page matches"
+//     the disk engine's) prove "no row on this page matches"
 //     before a single byte of the page is decoded;
 //   - PageWhere/ScanWhere decode only the predicate columns to find
 //     matching row positions — raw byte/int64 comparisons against the
@@ -110,8 +110,7 @@ type columnarBackend struct {
 	tail  []Tuple  // rows past the last full page
 
 	// zones holds one pageZone per full page, built at flush time from
-	// the page's rendered values — the disk engine's sidecar data, kept
-	// in memory since the pages themselves are.
+	// the page's rendered values, exactly as the disk engine does.
 	zones []pageZone
 
 	cached map[int]*list.Element // page -> lru element (decoded rows)

@@ -139,8 +139,8 @@ type diskBackend struct {
 	// zones holds one pageZone per full page, built when the page is
 	// flushed (and rebuilt wholesale on DeleteWhere rewrites). Each
 	// element is immutable once appended, so filtered reads may probe
-	// a length-snapshot of the slice without holding mu. Sidecar
-	// files (pNNNNNNNN.zm) persist the same data next to each page.
+	// a length-snapshot of the slice without holding mu. Zones live
+	// only here: the spill holds page files and nothing else.
 	zones []pageZone
 
 	cached map[int]*list.Element // page -> lru element
@@ -169,10 +169,6 @@ func (b *diskBackend) Len() int {
 
 func (b *diskBackend) pagePath(p int) string {
 	return filepath.Join(b.dir, fmt.Sprintf("p%08d.tsv", p))
-}
-
-func (b *diskBackend) zonePath(p int) string {
-	return filepath.Join(b.dir, fmt.Sprintf("p%08d.zm", p))
 }
 
 // writePage encodes rows into the page file at p.
@@ -256,20 +252,12 @@ func (b *diskBackend) Append(tp Tuple) error {
 	b.tail = append(b.tail, tp)
 	b.n++
 	if len(b.tail) == b.pageRows {
-		z := buildPageZone(b.schema, b.tail)
 		if err := b.writePage(b.pages, b.tail); err != nil {
 			b.tail = b.tail[:len(b.tail)-1]
 			b.n--
 			return fmt.Errorf("kbase: flushing page for %s: %w", b.schema.Name, err)
 		}
-		if err := writeZoneFile(b.zonePath(b.pages), z); err != nil {
-			// Roll the whole flush back so page and sidecar stay paired.
-			os.Remove(b.pagePath(b.pages))
-			b.tail = b.tail[:len(b.tail)-1]
-			b.n--
-			return fmt.Errorf("kbase: flushing zone map for %s: %w", b.schema.Name, err)
-		}
-		b.zones = append(b.zones, z)
+		b.zones = append(b.zones, buildPageZone(b.schema, b.tail))
 		b.pages++
 		b.tail = nil
 	}
@@ -418,11 +406,7 @@ func (b *diskBackend) DeleteWhere(pred func(Tuple) bool) int {
 		if err := writePageFile(filepath.Join(tmp, fmt.Sprintf("p%08d.tsv", newPages)), kept); err != nil {
 			panic(fmt.Sprintf("kbase: disk backend for %s: delete rewrite: %v", b.schema.Name, err))
 		}
-		z := buildPageZone(b.schema, kept)
-		if err := writeZoneFile(filepath.Join(tmp, fmt.Sprintf("p%08d.zm", newPages)), z); err != nil {
-			panic(fmt.Sprintf("kbase: disk backend for %s: delete rewrite: %v", b.schema.Name, err))
-		}
-		newZones = append(newZones, z)
+		newZones = append(newZones, buildPageZone(b.schema, kept))
 		newPages++
 		kept = kept[:0]
 	}

@@ -354,9 +354,10 @@ func TestIndexLifecycle(t *testing.T) {
 	})
 }
 
-// TestZoneSidecarConsistency checks the persisted .zm sidecars match
-// the in-memory zone maps through appends and DeleteWhere rewrites.
-func TestZoneSidecarConsistency(t *testing.T) {
+// TestPageZonesMatchPageFiles checks every in-memory zone map against
+// a zone rebuilt from its page file's decoded rows, through appends
+// and a DeleteWhere rewrite, and that the spill holds page files only.
+func TestPageZonesMatchPageFiles(t *testing.T) {
 	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -365,41 +366,39 @@ func TestZoneSidecarConsistency(t *testing.T) {
 	tbl := newBackedTable(t, engine, whereSchema(t))
 	fillWidgets(t, tbl, 26) // 6 pages + 2-row tail
 
-	check := func(stage string) {
+	check := func(stage string, pages int) {
 		be := tbl.be.(*diskBackend)
 		zones := be.pageZones()
-		if len(zones) != be.Stats().Pages {
-			t.Fatalf("%s: %d zones for %d pages", stage, len(zones), be.Stats().Pages)
+		if len(zones) != pages || be.Stats().Pages != pages {
+			t.Fatalf("%s: %d zones for %d pages, want %d", stage, len(zones), be.Stats().Pages, pages)
 		}
-		for p, want := range zones {
-			got, err := readZoneFile(be.zonePath(p))
+		for p, got := range zones {
+			rows, err := be.readPage(p)
 			if err != nil {
-				t.Fatalf("%s: page %d sidecar: %v", stage, p, err)
+				t.Fatalf("%s: page %d: %v", stage, p, err)
 			}
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: page %d sidecar %v != memory %v", stage, p, got, want)
+			if want := buildPageZone(be.schema, rows); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: page %d zone %v, page file gives %v", stage, p, got, want)
 			}
 		}
-		// No orphan sidecars past the live page range.
 		entries, err := os.ReadDir(be.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		zm := 0
+		if len(entries) != pages {
+			t.Fatalf("%s: spill holds %d files for %d pages", stage, len(entries), pages)
+		}
 		for _, e := range entries {
-			if strings.HasSuffix(e.Name(), ".zm") {
-				zm++
+			if !strings.HasSuffix(e.Name(), ".tsv") {
+				t.Fatalf("%s: unexpected spill file %s", stage, e.Name())
 			}
 		}
-		if zm != len(zones) {
-			t.Fatalf("%s: %d .zm files for %d pages", stage, zm, len(zones))
-		}
 	}
-	check("fill")
+	check("fill", 6)
 	if n := tbl.DeleteWhere(func(tp Tuple) bool { return tp[2].(int64)%2 == 0 }); n != 13 {
 		t.Fatalf("DeleteWhere removed %d", n)
 	}
-	check("post-delete")
+	check("post-delete", 3)
 }
 
 // TestSaveDBWritesZoneSidecar checks disk-backed snapshots carry the

@@ -1,10 +1,8 @@
 package kbase
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"os"
 	"strings"
 )
 
@@ -150,63 +148,6 @@ func encodeZoneLine(z colZone) string {
 		fields = append(fields, escapeTSV(d))
 	}
 	return strings.Join(fields, "\t")
-}
-
-// decodeZoneLine parses one encodeZoneLine line.
-func decodeZoneLine(line string) (colZone, error) {
-	parts, err := splitTSV(line)
-	if err != nil {
-		return colZone{}, err
-	}
-	if len(parts) < 4 {
-		return colZone{}, fmt.Errorf("kbase: zone line has %d fields, want >= 4", len(parts))
-	}
-	z := colZone{maxOK: parts[0] == "1", overflow: parts[1] == "1", min: parts[2], max: parts[3]}
-	if rest := parts[4:]; len(rest) > 0 {
-		z.distinct = append([]string(nil), rest...)
-	}
-	return z, nil
-}
-
-// writeZoneFile persists one page's zones as a sidecar next to the
-// page file: one encodeZoneLine per column.
-func writeZoneFile(path string, pz pageZone) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(f)
-	for _, z := range pz {
-		if _, err := w.WriteString(encodeZoneLine(z) + "\n"); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// readZoneFile parses a writeZoneFile sidecar.
-func readZoneFile(path string) (pageZone, error) {
-	body, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var pz pageZone
-	for _, line := range strings.Split(strings.TrimSuffix(string(body), "\n"), "\n") {
-		if line == "" {
-			continue
-		}
-		z, err := decodeZoneLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("kbase: zone sidecar %s: %w", path, err)
-		}
-		pz = append(pz, z)
-	}
-	return pz, nil
 }
 
 // writeTableZones serializes a whole table's page zones — the derived
