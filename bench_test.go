@@ -805,9 +805,12 @@ func BenchmarkServeIngestPublish(b *testing.B) {
 // the serving generation's model — no training on the write path; the
 // synchronous server retrains over the full corpus before publishing
 // the same batch. The inner b.N timing is the async ingest-to-publish
-// latency; each iteration also runs the identical delta through the
-// synchronous server and reports the ratio as speedup_x, failing
-// outright if the delta publish is not at least 5x faster.
+// latency, gated like every serving benchmark. Each iteration checks
+// the property directly: the delta's publication trace holds no train
+// span and the view still serves generation 1. It also runs the
+// identical delta through the synchronous server and reports the
+// ratio as speedup_x, for information only: the ratio moves with
+// every change to either path, so it is not a gate.
 func BenchmarkServeIngestPublishAsync(b *testing.B) {
 	elec := synth.Electronics(8, 16)
 	task := elec.Tasks[0]
@@ -855,17 +858,39 @@ func BenchmarkServeIngestPublishAsync(b *testing.B) {
 			b.Fatalf("delta view = %d docs at generation %d, want %d docs at generation 1",
 				view.NumDocs(), view.Generation(), len(elec.Docs))
 		}
+		if tr, ok := newestTrace(asyncSrv.Traces(), "delta"); !ok || tr.Epoch != view.Epoch() {
+			b.Fatalf("no delta trace for epoch %d: %+v", view.Epoch(), asyncSrv.Traces())
+		} else if hasSpan(tr.Spans, "train") {
+			b.Fatalf("delta publication trained on the write path: %+v", tr.Spans)
+		}
 		asyncSrv.Close()
 		syncSrv.Close()
 		b.StartTimer()
 	}
 	b.StopTimer()
-	speedup := syncNs / deltaNs
-	b.ReportMetric(speedup, "speedup_x")
+	b.ReportMetric(syncNs/deltaNs, "speedup_x")
 	b.ReportMetric(syncNs/float64(b.N)/1e6, "sync_ms")
-	if speedup < 5 {
-		b.Fatalf("delta publish is only %.1fx faster than synchronous publish, want >= 5x", speedup)
+}
+
+// newestTrace returns the most recent trace of the given kind
+// (Server.Traces lists newest first).
+func newestTrace(traces []obs.Trace, kind string) (obs.Trace, bool) {
+	for _, tr := range traces {
+		if tr.Kind == kind {
+			return tr, true
+		}
 	}
+	return obs.Trace{}, false
+}
+
+// hasSpan reports whether a span tree contains a span with the name.
+func hasSpan(spans []obs.Span, name string) bool {
+	for _, sp := range spans {
+		if sp.Name == name || hasSpan(sp.Children, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // BenchmarkServeMetricsOverhead bounds the cost of HTTP
