@@ -11,12 +11,12 @@
 // coverage must be explicit); a new benchmark missing from the
 // baseline passes with a note, prompting a baseline refresh.
 //
-// The training and end-to-end run benchmarks, which report
-// allocations, are gated a second time on their median allocs/op. The
-// count is a function of the code, not of the runner, so that gate is
-// tight (maxAllocsRegress): an allocation that creeps back into the
-// training loop fails it even when the runner is fast enough to hide
-// the time.
+// The training, end-to-end run and label-model fit benchmarks, which
+// report allocations that repeat exactly from run to run, are gated a
+// second time on their median allocs/op. The count is a function of
+// the code, not of the runner, so that gate is tight
+// (maxAllocsRegress): an allocation that creeps back into a hot loop
+// fails it even when the runner is fast enough to hide the time.
 //
 // Usage:
 //
@@ -54,7 +54,7 @@ var allocsField = regexp.MustCompile(`\s([0-9.]+) allocs/op`)
 
 // allocsGated selects the benchmarks whose allocs/op is gated, and
 // maxAllocsRegress is the fraction by which their median may grow.
-var allocsGated = regexp.MustCompile(`^Benchmark(Train|Run)`)
+var allocsGated = regexp.MustCompile(`^Benchmark(Train|Run|Fit)`)
 
 const maxAllocsRegress = 0.02
 

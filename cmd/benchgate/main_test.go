@@ -266,7 +266,7 @@ func TestBaselineGatesTrainingAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, allocs := parseBenchAllocs(string(raw))
-	for _, name := range []string{"BenchmarkTrainSequential", "BenchmarkTrainParallel", "BenchmarkRunSequential", "BenchmarkRunParallel"} {
+	for _, name := range []string{"BenchmarkTrainSequential", "BenchmarkTrainParallel", "BenchmarkRunSequential", "BenchmarkRunParallel", "BenchmarkFit"} {
 		if !allocsGated.MatchString(name) {
 			t.Fatalf("%s escapes the allocation gate", name)
 		}
