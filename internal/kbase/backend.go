@@ -418,25 +418,17 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-// fnvString folds s into the FNV-1a hash h.
-func fnvString(h uint64, s string) uint64 {
+// fnvAdd folds the bytes of s into the FNV-1a hash h.
+func fnvAdd[T string | []byte](h uint64, s T) uint64 {
 	for i := 0; i < len(s); i++ {
 		h = (h ^ uint64(s[i])) * fnvPrime
 	}
 	return h
 }
 
-// fnvBytes folds b into the FNV-1a hash h.
-func fnvBytes(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime
-	}
-	return h
-}
-
 // hashKey is the FNV-1a hash of one rendered value, the key of the
 // planner's column indexes.
-func hashKey(k string) uint64 { return fnvString(fnvOffset, k) }
+func hashKey(k string) uint64 { return fnvAdd(fnvOffset, k) }
 
 // hashTuple hashes a tuple for the Table's dedup index: FNV-1a over
 // each column's rendering (renderCell), each followed by a 0xff byte
@@ -451,13 +443,13 @@ func hashTuple(tp Tuple) uint64 {
 	for _, v := range tp {
 		switch x := v.(type) {
 		case string:
-			h = fnvString(h, x)
+			h = fnvAdd(h, x)
 		case int64:
-			h = fnvBytes(h, strconv.AppendInt(buf[:0], x, 10))
+			h = fnvAdd(h, strconv.AppendInt(buf[:0], x, 10))
 		case float64:
-			h = fnvBytes(h, strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
+			h = fnvAdd(h, strconv.AppendFloat(buf[:0], x, 'g', -1, 64))
 		default:
-			h = fnvString(h, renderCell(v))
+			h = fnvAdd(h, renderCell(v))
 		}
 		h = (h ^ 0xff) * fnvPrime
 	}

@@ -145,11 +145,12 @@ func (tp Tuple) Clone() Tuple {
 // Two tuples are duplicates when every column renders the same
 // (renderCell, i.e. fmt.Sprint). The index maps a tuple's hash
 // (hashTuple) to the first stored position with that hash; the rare
-// further positions sharing a hash go to overflow. Both maps are free
-// of pointers, so the garbage collector never scans them, and set
-// semantics cost a bounded ~20-40 bytes per row even when the rows
-// themselves live on disk. Every candidate position is confirmed
-// column by column against the stored row (rowsEqual).
+// further positions sharing a hash go to overflow, which stays nil
+// until a collision happens. The index holds no pointers, so the
+// garbage collector never scans it, and set semantics cost a bounded
+// ~20-40 bytes per row even when the rows themselves live on disk.
+// Every candidate position is confirmed column by column against the
+// stored row (rowsEqual).
 type Table struct {
 	schema   Schema
 	be       Backend
