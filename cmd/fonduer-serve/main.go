@@ -19,7 +19,7 @@
 //	fonduer-serve -addr :8080 -domain electronics                # one empty default tenant, ingest online
 //	fonduer-serve -store ./session -domain electronics           # serve a 'fonduer -store ./session' build
 //	fonduer-serve -store ./session -relation HasCollectorCurrent # pick one of the domain's relations
-//	fonduer-serve -backend disk -max-resident-docs 64            # disk-paged relations + parsed-doc eviction
+//	fonduer-serve -backend disk -max-resident-docs 64            # spilled relations + parsed-doc eviction
 //	fonduer-serve -tenants 'elec:electronics,ads:ads::disk:32'   # multi-tenant bootstrap
 //	                                                             # (name:domain[:relation[:backend[:maxResidentDocs]]])
 //
@@ -83,7 +83,7 @@ func main() {
 	threshold := flag.Float64("threshold", 0.5, "classification threshold over output marginals")
 	epochs := flag.Int("epochs", 16, "training epochs per published view")
 	seed := flag.Int64("seed", 1, "random seed")
-	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (disk-paged tables with an LRU page cache) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
+	backend := flag.String("backend", "", "storage engine for session relations: memory, disk (column-major binary pages spilled to one segment file per table behind an LRU page cache) or columnar (the same pages kept in memory; both decode only predicate columns on filtered reads and prune pages by zone maps; default: $FONDUER_BACKEND, else memory); per-tenant overrides via -tenants or POST /admin/tenants")
 	maxResident := flag.Int("max-resident-docs", 0, "keep at most this many parsed documents hydrated in RAM per tenant, evicting LRU documents and rehydrating on demand; /meta reports the counters (0 = unlimited)")
 	syncPublish := flag.Bool("sync-publish", false, "retrain synchronously on every ingest before publishing (the pre-async behavior); default is async two-phase publication: immediate delta epochs + background retraining")
 	trainDrift := flag.Float64("train-drift", 0.10, "async mode: trigger a background retrain when the session feature space has grown by more than this fraction since the serving model generation was trained (<=0 disables the drift trigger)")

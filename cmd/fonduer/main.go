@@ -40,7 +40,7 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	out := flag.String("out", "", "write each relation's KB as TSV into this directory")
 	store := flag.String("store", "", "persist the session's relations under this directory and resume from them when present")
-	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (disk-paged tables with an LRU page cache) or columnar (column-major binary pages with in-page zone pruning; default: $FONDUER_BACKEND, else memory)")
+	backend := flag.String("backend", "", "storage engine for -store sessions: memory, disk (column-major binary pages spilled to one segment file per table behind an LRU page cache) or columnar (the same pages kept in memory; both decode only predicate columns on filtered reads and prune pages by zone maps; default: $FONDUER_BACKEND, else memory)")
 	maxResident := flag.Int("max-resident-docs", 0, "with -store, keep at most this many parsed documents hydrated in RAM, evicting LRU documents and rehydrating from the session relations on demand (0 = unlimited)")
 	logLevel := flag.String("log-level", "warn", "structured-log level: debug, info, warn, error (JSON lines on stderr)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof on this separate address while the pipeline runs (e.g. 127.0.0.1:6060; empty = off)")

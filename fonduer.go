@@ -373,9 +373,9 @@ type (
 
 // NewStore creates an empty session store for a task; opts fixes the
 // session's featurization/supervision configuration. Options.Backend
-// selects the storage engine materializing the relations ("memory" or
-// "disk" — disk-paged tables with an LRU page cache for corpora
-// larger than RAM) and Options.MaxResidentDocs bounds how many parsed
+// selects the storage engine materializing the relations ("memory",
+// "disk" — columnar pages spilled to a segment file per table behind
+// an LRU page cache, for corpora larger than RAM — or "columnar") and Options.MaxResidentDocs bounds how many parsed
 // documents stay hydrated (evicted documents rehydrate on demand with
 // bit-identical results; see DESIGN.md §3e). Call Store.Close to
 // release a disk-backed store's spill directory.

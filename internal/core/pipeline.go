@@ -119,11 +119,11 @@ type Options struct {
 	Batch int
 	// Backend selects the kbase storage engine materializing a Store's
 	// relations: "memory" (every row resident — the original
-	// representation), "disk" (fixed-size row pages on disk behind a
-	// small LRU page cache, so relations stream instead of residing in
-	// RAM) or "columnar" (fixed-size pages as column-major binary
-	// blobs in memory, so filtered reads decode only the predicate
-	// columns and prune pages by in-page min/max zones). The zero
+	// representation), "columnar" (fixed-size pages as column-major
+	// binary blobs in memory, so filtered reads decode only the
+	// predicate columns and prune pages by zone maps) or "disk" (the
+	// same pages spilled to one segment file per table behind a small
+	// LRU page cache, so relations stream instead of residing in RAM). The zero
 	// value "" is a sentinel consulting $FONDUER_BACKEND first (how CI
 	// runs the whole suite per backend) and defaulting to "memory".
 	// Results are bit-identical across backends; only the

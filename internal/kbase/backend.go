@@ -118,13 +118,14 @@ func (m matcher) match(tp Tuple) bool {
 // via a compact hash index — so every backend only has to store an
 // ordered row sequence.
 //
-// The three implementations are the in-memory engine (rows in a
-// slice, the original representation), the disk-paged engine
-// (fixed-size row pages on disk behind a small LRU page cache, so a
-// table's resident footprint is the cache plus one partial tail page
-// no matter how many rows it holds), and the columnar engine
-// (fixed-size pages as column-major binary blobs in memory, so
-// filtered reads decode predicate columns only).
+// There are two implementations: the in-memory engine (rows in a
+// slice, the original representation) and the paged columnar backend
+// (fixed-size pages as column-major binary blobs, so filtered reads
+// decode predicate columns only). The columnar engine keeps its pages
+// on the heap; the disk engine spills them to one segment file per
+// table behind a small LRU of decoded pages, so a table's resident
+// footprint is the cache plus one partial tail page no matter how many
+// rows it holds.
 //
 // Contract, relied on by Table and by the cross-backend equivalence
 // tests:
@@ -158,7 +159,7 @@ type Backend interface {
 	Page(offset, limit int) []Tuple
 	// ScanWhere calls fn for each row satisfying every predicate, in
 	// insertion order, until fn returns false. The tuple is borrowed.
-	// Backends may prune storage regions (disk pages) that provably
+	// Backends may prune storage regions (pages) that provably
 	// contain no match, but must never skip a matching row.
 	ScanWhere(preds []Pred, fn func(Tuple) bool)
 	// PageWhere returns detached clones of up to limit matching rows
@@ -176,7 +177,7 @@ type Backend interface {
 	// Stats reports the backend's paging counters (zero-valued for
 	// the in-memory engine).
 	Stats() BackendStats
-	// Close releases backend resources (disk pages). The backend is
+	// Close releases backend resources (spilled pages). The backend is
 	// unusable afterwards.
 	Close() error
 }
@@ -186,18 +187,18 @@ type Backend interface {
 // (IndexHits, FullScans) are recorded by the Table-level planner and
 // merged in by Table.BackendStats.
 type BackendStats struct {
-	// Pages counts full row pages: on disk for the disk engine,
-	// encoded column-major in memory for the columnar engine.
+	// Pages counts full encoded pages: spilled for the disk engine,
+	// on the heap for the columnar engine.
 	Pages int
-	// CacheHits / CacheMisses count page-cache lookups. A miss reads
-	// (disk) or decodes (columnar) one full page.
+	// CacheHits / CacheMisses count decoded-page cache lookups. A miss
+	// reads (when spilled) and decodes one full page.
 	CacheHits, CacheMisses int64
 	// PagesSkipped counts pages pruned by zone maps during filtered
 	// reads — pages never read, decoded, or cached.
 	PagesSkipped int64
 	// IndexHits counts filtered reads answered through a hash index;
-	// FullScans counts filtered reads that had to scan (on the disk
-	// engine, still zone-map pruned).
+	// FullScans counts filtered reads that had to scan (on the paged
+	// engines, still zone-map pruned).
 	IndexHits, FullScans int64
 }
 
@@ -255,7 +256,7 @@ func BackendKindsWant() string {
 }
 
 // NewEngine resolves an engine kind: "" or "memory" is the in-memory
-// engine, "disk" the disk-paged engine with default page geometry
+// engine, "disk" the spilled columnar engine with default page geometry
 // spilling under dir (a fresh temporary directory when dir is empty),
 // "columnar" the in-memory columnar engine with default page
 // geometry.
@@ -342,17 +343,18 @@ func (b *memoryBackend) PageWhere(preds []Pred, offset, limit int) ([]Tuple, int
 	if m.impossible {
 		return nil, 0
 	}
-	if offset < 0 {
-		offset = 0
-	}
-	var out []Tuple
-	total := 0
-	for _, tp := range b.tuples {
+	return windowMatches(m, b.tuples, max(offset, 0), limit, nil, 0)
+}
+
+// windowMatches continues a PageWhere over rows: out holds the window
+// so far and total counts the matches before rows. It clones only
+// in-window matches and keeps counting past the window, so the
+// returned total is exact.
+func windowMatches(m matcher, rows []Tuple, offset, limit int, out []Tuple, total int) ([]Tuple, int) {
+	for _, tp := range rows {
 		if !m.match(tp) {
 			continue
 		}
-		// Clone only in-window matches; keep counting past the window
-		// so total is exact.
 		if total >= offset && (limit <= 0 || len(out) < limit) {
 			out = append(out, tp.Clone())
 		}

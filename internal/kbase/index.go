@@ -3,6 +3,7 @@ package kbase
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Lazy secondary hash indexes and the tiny planner that routes each
@@ -27,7 +28,7 @@ import (
 // against the full compiled conjunction (hash collisions and the
 // other predicates), so it emits exactly the rows a scan would, in
 // the same order. The scan path delegates to the backend, where the
-// disk engine prunes pages through zone maps.
+// paged engines prune pages through zone maps.
 const autoIndexAfter = 2
 
 // maxIndexedRows caps index builds; a var so tests can lower it.
@@ -46,6 +47,13 @@ type planner struct {
 	hot  map[int]bool      // columns to index on next filtered read
 	idx  map[int]*colIndex // built indexes
 
+	// mayIndex is set (under mu) before an index build scans the
+	// backend and cleared by the invalidate that drops the indexes, so
+	// a writer reading false skips mu entirely. That is safe: the
+	// writer's row went in under the backend's lock before the load,
+	// so any build whose flag store the load missed scans after it.
+	mayIndex atomic.Bool
+
 	indexHits, fullScans int64
 }
 
@@ -56,10 +64,12 @@ func newPlanner() *planner {
 // invalidate drops built indexes (hot marks and heat survive, so the
 // next filtered read rebuilds). Called on every mutation.
 func (p *planner) invalidate() {
-	p.mu.Lock()
-	for c := range p.idx {
-		delete(p.idx, c)
+	if !p.mayIndex.Load() {
+		return
 	}
+	p.mu.Lock()
+	clear(p.idx)
+	p.mayIndex.Store(false)
 	p.mu.Unlock()
 }
 
@@ -107,6 +117,7 @@ func (t *Table) choosePlan(m matcher) (*colIndex, compiledPred, bool) {
 	}
 	for _, cp := range m.preds {
 		if p.hot[cp.col] && t.be.Len() <= maxIndexedRows {
+			p.mayIndex.Store(true)
 			ci := buildColIndex(t.be, cp.col)
 			p.idx[cp.col] = ci
 			p.indexHits++
@@ -160,7 +171,7 @@ func (t *Table) ScanWhere(preds []Pred, fn func(Tuple) bool) {
 // query logging and tracing. Plan is one of "unfiltered" (no
 // predicates), "impossible" (a predicate names a missing column),
 // "index" (hash-index probe) or "scan" (backend scan, zone-map
-// pruned on the disk engine). PagesSkipped is the read's zone-map
+// pruned on the paged engines). PagesSkipped is the read's zone-map
 // pruning delta — a best-effort sample of the backend's counter
 // around the read, 0 for in-memory backends.
 type PlanInfo struct {

@@ -138,7 +138,7 @@ func (tp Tuple) Clone() Tuple {
 // Table stores the tuples of one relation with set semantics over the
 // full tuple (inserting a duplicate is a no-op, as relation mentions
 // are de-duplicated when populating the KB). Row storage is delegated
-// to a pluggable Backend — in-memory or disk-paged — while the Table
+// to a pluggable Backend — in-memory or paged — while the Table
 // keeps the relational semantics: schema/type checking, tuple
 // normalization, and the dedup index.
 //
@@ -185,7 +185,7 @@ func (t *Table) BackendStats() BackendStats {
 	return bs
 }
 
-// Close releases the table's backend resources (disk pages). The
+// Close releases the table's backend resources (spilled pages). The
 // table is unusable afterwards.
 func (t *Table) Close() error {
 	t.index, t.overflow = nil, nil
@@ -442,13 +442,13 @@ func (db *DB) Close() error {
 // DBStats aggregates the paging and query-plan counters of every
 // table's backend.
 type DBStats struct {
-	// Backend is the engine kind ("memory" or "disk").
+	// Backend is the engine kind ("memory", "disk" or "columnar").
 	Backend string
-	// Pages counts full row pages on disk across all tables.
+	// Pages counts full encoded pages across all tables.
 	Pages int
 	// CacheHits / CacheMisses sum the tables' page-cache lookups.
 	CacheHits, CacheMisses int64
-	// PagesSkipped sums disk pages pruned by zone maps on filtered
+	// PagesSkipped sums pages pruned by zone maps on filtered
 	// reads.
 	PagesSkipped int64
 	// IndexHits / FullScans sum the tables' filtered-read plan

@@ -94,9 +94,9 @@ func splitTSV(line string) ([]string, error) {
 }
 
 // encodeTupleTSV renders one tuple as an escaped TSV line (no
-// trailing newline) — the row encoding shared by WriteTSV and the
-// disk backend's page files, which is what makes a table's serialized
-// bytes identical across backends.
+// trailing newline) — the row encoding every backend's Snapshot
+// emits, which is what makes a table's serialized bytes identical
+// across backends.
 func encodeTupleTSV(tp Tuple) string {
 	parts := make([]string, len(tp))
 	for i, v := range tp {
@@ -137,8 +137,7 @@ func parseTupleFields(schema Schema, parts []string) (Tuple, error) {
 // line of "name:type" column specs, so a table round-trips through
 // ReadTSV with its schema intact. String values are escaped, so tabs
 // and newlines inside values survive the round trip. The row bytes
-// come from the backend's Snapshot, which for the disk-paged backend
-// is a straight copy of its page files.
+// come from the backend's Snapshot.
 func (t *Table) WriteTSV(w io.Writer) error {
 	specs := make([]string, len(t.schema.Columns))
 	for i, c := range t.schema.Columns {
@@ -282,7 +281,7 @@ func SaveDB(db *DB, dir string) error {
 		// not list it, LoadDB never reads it (restores rebuild zones by
 		// re-inserting rows), and snapshot byte-equality across backends
 		// is defined over the MANIFEST'd .tsv files only.
-		if be, ok := db.Table(name).be.(*diskBackend); ok {
+		if be, ok := db.Table(name).be.(*columnarBackend); ok && be.kind == "disk" {
 			if zones := be.pageZones(); len(zones) > 0 {
 				zf, err := os.Create(filepath.Join(tmp, name+".zm"))
 				if err != nil {

@@ -6,8 +6,10 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -355,8 +357,10 @@ func TestIndexLifecycle(t *testing.T) {
 }
 
 // TestPageZonesMatchPageFiles checks every in-memory zone map against
-// a zone rebuilt from its page file's decoded rows, through appends
-// and a DeleteWhere rewrite, and that the spill holds page files only.
+// a zone rebuilt from its page as decoded from the segment file,
+// through appends and a DeleteWhere rewrite, and that the table's
+// spill directory holds exactly one segment whose size is the sum of
+// the page lengths.
 func TestPageZonesMatchPageFiles(t *testing.T) {
 	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
 	if err != nil {
@@ -367,31 +371,38 @@ func TestPageZonesMatchPageFiles(t *testing.T) {
 	fillWidgets(t, tbl, 26) // 6 pages + 2-row tail
 
 	check := func(stage string, pages int) {
-		be := tbl.be.(*diskBackend)
+		be := tbl.be.(*columnarBackend)
 		zones := be.pageZones()
 		if len(zones) != pages || be.Stats().Pages != pages {
 			t.Fatalf("%s: %d zones for %d pages, want %d", stage, len(zones), be.Stats().Pages, pages)
 		}
+		var buf []byte
 		for p, got := range zones {
-			rows, err := be.readPage(p)
+			blob, err := be.pages.read(p, &buf)
+			if err != nil {
+				t.Fatalf("%s: page %d: %v", stage, p, err)
+			}
+			rows, err := decodeColumnarPage(blob, be.schema)
 			if err != nil {
 				t.Fatalf("%s: page %d: %v", stage, p, err)
 			}
 			if want := buildPageZone(be.schema, rows); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: page %d zone %v, page file gives %v", stage, p, got, want)
+				t.Fatalf("%s: page %d zone %v, segment page gives %v", stage, p, got, want)
 			}
 		}
 		entries, err := os.ReadDir(be.dir)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(entries) != pages {
-			t.Fatalf("%s: spill holds %d files for %d pages", stage, len(entries), pages)
+		if len(entries) != 1 || !strings.HasSuffix(entries[0].Name(), ".seg") {
+			t.Fatalf("%s: spill holds %v, want one segment file", stage, entries)
 		}
-		for _, e := range entries {
-			if !strings.HasSuffix(e.Name(), ".tsv") {
-				t.Fatalf("%s: unexpected spill file %s", stage, e.Name())
-			}
+		info, err := entries[0].Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Size() != be.pages.size() {
+			t.Fatalf("%s: segment is %d bytes, pages sum to %d", stage, info.Size(), be.pages.size())
 		}
 	}
 	check("fill", 6)
@@ -399,6 +410,86 @@ func TestPageZonesMatchPageFiles(t *testing.T) {
 		t.Fatalf("DeleteWhere removed %d", n)
 	}
 	check("post-delete", 3)
+}
+
+// TestSpilledScanWhereSurvivesDeleteWhere pins snapshot isolation on a
+// spilled table: a ScanWhere whose callback deletes rows from the same
+// table still sees every row of the snapshot it started with, reading
+// pages from the segment the delete retired.
+func TestSpilledScanWhereSurvivesDeleteWhere(t *testing.T) {
+	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	tbl := newBackedTable(t, engine, whereSchema(t))
+	tbl.SetAutoIndex(false) // the backend scan, not an index plan
+	fillWidgets(t, tbl, 26)
+
+	preds := []Pred{{Col: 1, Want: "g1"}}
+	want, _ := legacyFilterPage(tbl, preds, 0, 0)
+	var got []Tuple
+	tbl.ScanWhere(preds, func(tp Tuple) bool {
+		if len(got) == 0 {
+			if n := tbl.DeleteWhere(func(Tuple) bool { return true }); n != 26 {
+				t.Fatalf("DeleteWhere inside ScanWhere removed %d", n)
+			}
+		}
+		got = append(got, tp.Clone())
+		return true
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("ScanWhere across DeleteWhere: got %v, want %v", got, want)
+	}
+	if tbl.Len() != 0 {
+		t.Fatalf("table holds %d rows after delete-all", tbl.Len())
+	}
+}
+
+// TestSpilledAppendRollsBackFailedWrite checks that a segment write
+// failure fails the page-sealing Append and rolls it back: the row
+// count, pages and tail are as before, and the table keeps working
+// once writes succeed again.
+func TestSpilledAppendRollsBackFailedWrite(t *testing.T) {
+	engine, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer engine.Close()
+	tbl := newBackedTable(t, engine, mustSchema(t, "r", "part", "n:integer"))
+	fillParts(t, tbl, 7) // 1 page + 3-row tail
+	be := tbl.be.(*columnarBackend)
+
+	// Swap in a read-only handle on the same file: reads still work,
+	// every write fails.
+	seg := be.pages.seg
+	writable := seg.f
+	ro, err := os.Open(writable.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	seg.f = ro
+	if _, err := tbl.Insert(Tuple{"p07", 7}); err == nil {
+		t.Fatal("Insert sealing a page onto a read-only segment did not fail")
+	}
+	if tbl.Len() != 7 || be.Stats().Pages != 1 || len(be.tail) != 3 || tbl.Contains(Tuple{"p07", 7}) {
+		t.Fatalf("failed Append not rolled back: len=%d pages=%d tail=%d", tbl.Len(), be.Stats().Pages, len(be.tail))
+	}
+	if got := partsOf(tbl.Tuples()); len(got) != 7 || got[6] != "p06" {
+		t.Fatalf("rows after failed Append: %v", got)
+	}
+
+	seg.f = writable
+	ro.Close()
+	if _, err := tbl.Insert(Tuple{"p07", 7}); err != nil {
+		t.Fatalf("Insert after recovery: %v", err)
+	}
+	if tbl.Len() != 8 || be.Stats().Pages != 2 {
+		t.Fatalf("after recovery: len=%d pages=%d", tbl.Len(), be.Stats().Pages)
+	}
+	if rows, total := tbl.PageWhere([]Pred{{Col: 0, Want: "p07"}}, 0, 0); total != 1 || rows[0][1] != int64(7) {
+		t.Fatalf("PageWhere(p07) after recovery: %v, %d", rows, total)
+	}
 }
 
 // TestSaveDBWritesZoneSidecar checks disk-backed snapshots carry the
@@ -557,5 +648,88 @@ func TestFilteredReadsConcurrentIngest(t *testing.T) {
 	// Quiesced: the final state answers exactly.
 	if _, total := tbl.PageWhere([]Pred{{Col: 1, Want: "g1"}}, 0, 0); total != 8 {
 		t.Fatalf("final g1 total = %d, want 8", total)
+	}
+}
+
+// TestIndexBuildsRaceInserts races index builds against inserts on the
+// internally locked paged engines: one goroutine inserts rows while
+// another reads through a forced index, which every insert invalidates
+// and the next read rebuilds. Each indexed read must equal a full scan
+// of some state between its start and end — every row inserted before
+// the read began, in order, and none begun after it ended — so an
+// index left stale by an insert that skipped invalidation fails it.
+// Run with -race.
+func TestIndexBuildsRaceInserts(t *testing.T) {
+	for _, engine := range []struct {
+		name string
+		make func(t *testing.T) Engine
+	}{
+		{"disk", func(t *testing.T) Engine {
+			e, err := NewDiskEngine(filepath.Join(t.TempDir(), "spill"), 4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return e
+		}},
+		{"columnar", func(*testing.T) Engine { return NewColumnarEngine(4, 2) }},
+	} {
+		t.Run(engine.name, func(t *testing.T) {
+			e := engine.make(t)
+			defer e.Close()
+			tbl := newBackedTable(t, e, whereSchema(t))
+			defer tbl.Close()
+			mustEnsureIndex(t, tbl, "grp")
+
+			const rows, groups = 600, 4
+			insert := func(i int) error {
+				_, err := tbl.Insert(Tuple{fmt.Sprintf("p%03d", i), fmt.Sprintf("g%d", i%groups), i, float64(i) / 2})
+				return err
+			}
+			// want returns the g1 rows among the first n inserted.
+			want := func(n int) []string {
+				var out []string
+				for i := 1; i < n; i += groups {
+					out = append(out, fmt.Sprintf("p%03d", i))
+				}
+				return out
+			}
+			var inserted atomic.Int64
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for i := 0; i < rows; i++ {
+					if err := insert(i); err != nil {
+						t.Error(err)
+						return
+					}
+					inserted.Store(int64(i + 1))
+				}
+			}()
+			defer func() { <-done }() // before the deferred Close
+			preds := []Pred{{Col: 1, Want: "g1"}}
+			for reading := true; reading; {
+				select {
+				case <-done:
+					reading = false
+				default:
+				}
+				lo := int(inserted.Load())
+				got, total := tbl.PageWhere(preds, 0, 0)
+				hi := int(inserted.Load()) + 1 // one insert may be in flight
+				parts := partsOf(got)
+				if total != len(got) || len(parts) < len(want(lo)) || len(parts) > len(want(hi)) ||
+					!slices.Equal(parts, want(hi)[:len(parts)]) {
+					t.Fatalf("indexed read between %d and %d inserts: %v (total %d)", lo, hi, parts, total)
+				}
+			}
+			if st := tbl.BackendStats(); st.IndexHits == 0 {
+				t.Fatalf("no read used the index: %+v", st)
+			}
+			got, total := tbl.PageWhere(preds, 0, 0)
+			ref, refTotal := legacyFilterPage(tbl, preds, 0, 0)
+			if total != refTotal || !reflect.DeepEqual(got, ref) {
+				t.Fatalf("quiesced indexed read %v (%d) != full scan %v (%d)", got, total, ref, refTotal)
+			}
+		})
 	}
 }

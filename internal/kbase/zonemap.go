@@ -6,7 +6,7 @@ import (
 	"strings"
 )
 
-// Zone maps summarize one disk page's rendered column values so a
+// Zone maps summarize one page's rendered column values so a
 // filtered read can prove "no row on this page matches" without
 // reading, decoding, or caching the page. Per page and column they
 // hold a lexicographic min/max over the rendered values plus — when
