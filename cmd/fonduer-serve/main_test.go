@@ -44,6 +44,11 @@ func TestServeStoreIntegration(t *testing.T) {
 	task := corpus.Tasks[0]
 	opts := fonduer.Options{Threshold: 0.5, Epochs: 2, Seed: 1}
 	st := fonduer.NewStore(task, opts)
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}

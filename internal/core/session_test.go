@@ -16,7 +16,9 @@ func elecSession(t *testing.T) (*core.DevSession, core.Task) {
 	t.Helper()
 	corpus := synth.Electronics(51, 10)
 	task := corpus.Tasks[0]
-	return core.NewDevSession(task, corpus.Docs), task
+	s := core.NewDevSession(task, corpus.Docs)
+	closeAtEnd(t, s.Store())
+	return s, task
 }
 
 func TestDevSessionIterativeLoop(t *testing.T) {

@@ -26,6 +26,11 @@ func TestStoreMutationGuard(t *testing.T) {
 	}
 	doc := parser.ParseHTML("d0", "<html><body><p>SMBT3904 is rated 200 mA.</p></body></html>")
 	st := NewStore(task, Options{Epochs: 1})
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	if err := st.AddDocuments(doc); err != nil {
 		t.Fatal(err)
 	}

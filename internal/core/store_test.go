@@ -14,6 +14,31 @@ import (
 	"repro/internal/synth"
 )
 
+// newStore is core.NewStore closed when the test ends, so a
+// disk-backed store never leaves its spill directory behind.
+func newStore(t testing.TB, task core.Task, opts core.Options) *core.Store {
+	st := core.NewStore(task, opts)
+	closeAtEnd(t, st)
+	return st
+}
+
+// openStore is core.OpenStore closed when the test ends.
+func openStore(t testing.TB, dir string, task core.Task, opts core.Options) (*core.Store, error) {
+	st, err := core.OpenStore(dir, task, opts)
+	if err == nil {
+		closeAtEnd(t, st)
+	}
+	return st, err
+}
+
+func closeAtEnd(t testing.TB, st *core.Store) {
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
+}
+
 func docNames(docs []*datamodel.Document) []string {
 	out := make([]string, len(docs))
 	for i, d := range docs {
@@ -57,7 +82,7 @@ func TestStoreIncrementalEquivalence(t *testing.T) {
 			t.Fatalf("degenerate baseline: %+v", want)
 		}
 		for bi, batches := range batchings(corpus.Docs) {
-			st := core.NewStore(task, opts)
+			st := newStore(t, task, opts)
 			for _, batch := range batches {
 				if err := st.AddDocuments(batch...); err != nil {
 					t.Fatalf("workers=%d batching=%d: %v", workers, bi, err)
@@ -84,11 +109,11 @@ func TestStoreIndexEvolution(t *testing.T) {
 	task := corpus.Tasks[0]
 	opts := core.Options{Seed: 1, Epochs: 1}
 
-	scratch := core.NewStore(task, opts)
+	scratch := newStore(t, task, opts)
 	if err := scratch.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}
-	incr := core.NewStore(task, opts)
+	incr := newStore(t, task, opts)
 	for _, d := range corpus.Docs {
 		if err := incr.AddDocuments(d); err != nil {
 			t.Fatal(err)
@@ -130,7 +155,7 @@ func TestStoreSnapshotResume(t *testing.T) {
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 5, Epochs: 2}
 
-	st := core.NewStore(task, opts)
+	st := newStore(t, task, opts)
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +167,7 @@ func TestStoreSnapshotResume(t *testing.T) {
 		t.Fatal("IsStoreDir must recognize the snapshot")
 	}
 
-	resumed, err := core.OpenStore(dir, task, opts)
+	resumed, err := openStore(t, dir, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +196,7 @@ func TestStoreSnapshotResume(t *testing.T) {
 	if err := resumed.Snapshot(dir2); err != nil {
 		t.Fatal(err)
 	}
-	again, err := core.OpenStore(dir2, task, opts)
+	again, err := openStore(t, dir2, task, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +222,7 @@ func TestStoreResumeLFFidelity(t *testing.T) {
 	} {
 		task := domain.corpus.Tasks[0]
 		opts := core.Options{Epochs: 1, LFs: []labeling.LF{}}
-		live := core.NewStore(task, opts)
+		live := newStore(t, task, opts)
 		if err := live.AddDocuments(domain.corpus.Docs...); err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
@@ -205,7 +230,7 @@ func TestStoreResumeLFFidelity(t *testing.T) {
 		if err := live.Snapshot(dir); err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
-		resumed, err := core.OpenStore(dir, task, opts)
+		resumed, err := openStore(t, dir, task, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
@@ -253,7 +278,7 @@ func TestStoreSnapshotAllDomains(t *testing.T) {
 		train, test := domain.corpus.Split()
 		gold := domain.corpus.GoldTuples[task.Relation]
 		opts := core.Options{Seed: 2, Epochs: 1}
-		st := core.NewStore(task, opts)
+		st := newStore(t, task, opts)
 		if err := st.AddDocuments(domain.corpus.Docs...); err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
@@ -261,7 +286,7 @@ func TestStoreSnapshotAllDomains(t *testing.T) {
 		if err := st.Snapshot(dir); err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
-		resumed, err := core.OpenStore(dir, task, opts)
+		resumed, err := openStore(t, dir, task, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
@@ -282,7 +307,7 @@ func TestStoreSnapshotAllDomains(t *testing.T) {
 		if err := resumed.Snapshot(dir2); err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
-		again, err := core.OpenStore(dir2, task, opts)
+		again, err := openStore(t, dir2, task, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", domain.name, err)
 		}
@@ -298,7 +323,7 @@ func TestStoreSnapshotAllDomains(t *testing.T) {
 func TestStoreOpenValidation(t *testing.T) {
 	corpus := synth.Electronics(64, 4)
 	task := corpus.Tasks[0]
-	st := core.NewStore(task, core.Options{Epochs: 1})
+	st := newStore(t, task, core.Options{Epochs: 1})
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}
@@ -306,10 +331,10 @@ func TestStoreOpenValidation(t *testing.T) {
 	if err := st.Snapshot(dir); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := core.OpenStore(dir, corpus.Tasks[1], core.Options{Epochs: 1}); err == nil {
+	if _, err := openStore(t, dir, corpus.Tasks[1], core.Options{Epochs: 1}); err == nil {
 		t.Fatal("wrong relation must be rejected")
 	}
-	if _, err := core.OpenStore(dir, task, core.Options{
+	if _, err := openStore(t, dir, task, core.Options{
 		Epochs:             1,
 		DisabledModalities: []features.Modality{features.Visual},
 	}); err == nil {
@@ -321,11 +346,11 @@ func TestStoreOpenValidation(t *testing.T) {
 	for i, lf := range task.LFs {
 		reversed[len(task.LFs)-1-i] = lf
 	}
-	if _, err := core.OpenStore(dir, task, core.Options{Epochs: 1, LFs: reversed}); err == nil {
+	if _, err := openStore(t, dir, task, core.Options{Epochs: 1, LFs: reversed}); err == nil {
 		t.Fatal("reordered LFs must be rejected")
 	}
 	// Runtime knobs may differ freely.
-	if _, err := core.OpenStore(dir, task, core.Options{Epochs: 9, Seed: 42, Threshold: 0.9, Workers: 2}); err != nil {
+	if _, err := openStore(t, dir, task, core.Options{Epochs: 9, Seed: 42, Threshold: 0.9, Workers: 2}); err != nil {
 		t.Fatalf("runtime knobs must not block resume: %v", err)
 	}
 }
@@ -340,7 +365,7 @@ func TestStoreRejectsSeparatorBytes(t *testing.T) {
 	doc := b.Finish()
 
 	corpus := synth.Electronics(68, 1)
-	st := core.NewStore(corpus.Tasks[0], core.Options{Epochs: 1})
+	st := newStore(t, corpus.Tasks[0], core.Options{Epochs: 1})
 	if err := st.AddDocuments(doc); err == nil {
 		t.Fatal("reserved separator bytes must be rejected at ingest")
 	}
@@ -352,7 +377,7 @@ func TestStoreRejectsSeparatorBytes(t *testing.T) {
 func TestStoreLFIteration(t *testing.T) {
 	corpus := synth.Electronics(65, 6)
 	task := corpus.Tasks[0]
-	st := core.NewStore(task, core.Options{Epochs: 1, LFs: []labeling.LF{}})
+	st := newStore(t, task, core.Options{Epochs: 1, LFs: []labeling.LF{}})
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,7 @@ func TestViewRetrainMatchesView(t *testing.T) {
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 7, Epochs: 2, Workers: 2}
 
-	st := core.NewStore(task, opts)
+	st := newStore(t, task, opts)
 	if err := st.AddDocuments(corpus.Docs[:4]...); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestViewDeltaMatchesAdopt(t *testing.T) {
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 3, Epochs: 2, Workers: 2}
 
-	st := core.NewStore(task, opts)
+	st := newStore(t, task, opts)
 	if err := st.AddDocuments(corpus.Docs[:3]...); err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +141,7 @@ func TestViewRetrainWarmDeterminism(t *testing.T) {
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 5, Epochs: 2, Workers: 2}
 
-	st := core.NewStore(task, opts)
+	st := newStore(t, task, opts)
 	if err := st.AddDocuments(corpus.Docs[:4]...); err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func TestStoreViewEquivalence(t *testing.T) {
 	gold := corpus.GoldTuples[task.Relation]
 	opts := core.Options{Seed: 7, Epochs: 1, Workers: 4}
 
-	st := core.NewStore(task, opts)
+	st := newStore(t, task, opts)
 	batches := [][]int{{0, 3}, {3, 5}, {5, 7}}
 	totalPredicted := 0
 	for bi, b := range batches {
@@ -78,7 +78,7 @@ func TestStoreViewClassifyMatchesRun(t *testing.T) {
 	corpus := synth.Electronics(17, 6)
 	task := corpus.Tasks[0]
 	gold := corpus.GoldTuples[task.Relation]
-	st := core.NewStore(task, core.Options{Seed: 3, Epochs: 1})
+	st := newStore(t, task, core.Options{Seed: 3, Epochs: 1})
 	if err := st.AddDocuments(corpus.Docs...); err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestStoreViewConcurrentReaders(t *testing.T) {
 	corpus := synth.Electronics(29, 6)
 	task := corpus.Tasks[0]
 	gold := corpus.GoldTuples[task.Relation]
-	st := core.NewStore(task, core.Options{Seed: 5, Epochs: 1})
+	st := newStore(t, task, core.Options{Seed: 5, Epochs: 1})
 	if err := st.AddDocuments(corpus.Docs[:2]...); err != nil {
 		t.Fatal(err)
 	}

@@ -181,6 +181,11 @@ func TestServeAsyncReplayEquivalence(t *testing.T) {
 	// one delta chain per generation, retrains applied at the recorded
 	// epochs with the server's exact warm-start configuration.
 	st := core.NewStore(task, opts)
+	t.Cleanup(func() {
+		if err := st.Close(); err != nil {
+			t.Error(err)
+		}
+	})
 	chains := map[uint64]*core.StoreView{}
 	v0, err := st.View(gold)
 	if err != nil {
